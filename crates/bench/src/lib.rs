@@ -22,7 +22,6 @@
 //! | `mmtpredict` | static savings predictor vs. per-PC dynamic profile (differential gate) |
 //! | `mmtmem` | static memory divergence/race analysis + LVIP brackets vs. dynamic addresses (differential gate) |
 //! | `mmtvalue` | thread-parametric value-flow analysis + static RST model vs. per-PC exec-merge profile (differential gate) |
-//! | `diag_app` | one-line per-level diagnostic for model/workload tuning |
 
 #![warn(missing_docs)]
 

@@ -46,6 +46,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod audit;
 pub mod config;

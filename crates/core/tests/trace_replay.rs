@@ -23,6 +23,7 @@ fn run_traced(app_name: &str, threads: usize) -> SimResult {
     let app = mmt_workloads::app_by_name(app_name).expect("known app");
     let w = app.instance(threads, SCALE);
     let mut cfg = SimConfig::paper_with(threads, MmtLevel::Fxr);
+    cfg.record_pc_profile = true;
     cfg.trace = Some(TraceConfig {
         ring_capacity: RING,
         window: 4096,
@@ -69,6 +70,19 @@ fn replayed_counters_match_simstats_on_every_app() {
             check("fetch_total", c.fetch_total(), s.fetch_modes.total());
             check("commits", c.commits, s.energy.commits);
             check("uops_dispatched", c.uops_dispatched, s.uops_dispatched);
+            // The per-PC dispatch profile is a third, independent count
+            // of the same uops.
+            let profile = &s.pc_profile;
+            check(
+                "merged_uops vs pc_profile",
+                c.merged_uops,
+                profile.iter().map(|p| p.exec_merged).sum(),
+            );
+            check(
+                "uops_dispatched vs pc_profile",
+                c.uops_dispatched,
+                profile.iter().map(|p| p.exec_total()).sum(),
+            );
             check("remerges", c.remerges, s.remerges);
             check("divergences", c.divergences, s.divergences);
             for t in 0..threads {

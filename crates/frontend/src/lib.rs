@@ -13,6 +13,7 @@
 //! these pieces; everything here is deterministic and standalone-testable.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod bpred;
 pub mod btb;

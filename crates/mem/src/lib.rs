@@ -22,6 +22,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod cache;
 pub mod hierarchy;
