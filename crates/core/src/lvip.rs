@@ -67,6 +67,12 @@ impl Lvip {
         }
     }
 
+    /// Count `n` predictions without making them: the quiet-cycle fast
+    /// path's replay of a stalled dispatch's per-cycle lookups.
+    pub(crate) fn charge_lookups(&mut self, n: u64) {
+        self.lookups += n;
+    }
+
     /// The learned table contents (slot -> remembered mismatching load
     /// PC), for checkpointing warm predictor state.
     pub fn entries(&self) -> &[Option<u64>] {

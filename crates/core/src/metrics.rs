@@ -11,7 +11,9 @@
 //! discipline as the event ring), so a disabled run pays one branch per
 //! cycle and never allocates.
 
-use mmt_obs::metrics::{exponential_bounds, HistogramId, MetricsRegistry, MetricsSnapshot};
+use mmt_obs::metrics::{
+    exponential_bounds, CounterId, HistogramId, MetricsRegistry, MetricsSnapshot,
+};
 use std::time::Duration;
 
 /// The four timed pipeline phases, in `step_cycle` call order.
@@ -46,6 +48,7 @@ impl SimPhase {
 pub struct SimMetrics {
     registry: MetricsRegistry,
     phases: [HistogramId; 4],
+    quiet: CounterId,
 }
 
 impl SimMetrics {
@@ -69,7 +72,16 @@ impl SimMetrics {
             phase(&mut registry, SimPhase::Dispatch.name()),
             phase(&mut registry, SimPhase::Fetch.name()),
         ];
-        SimMetrics { registry, phases }
+        let quiet = registry.counter(
+            "mmt_quiet_cycles_total",
+            "Cycles taken by the quiet-cycle fast path, which runs no stage",
+            &[],
+        );
+        SimMetrics {
+            registry,
+            phases,
+            quiet,
+        }
     }
 
     /// Record one stage invocation's wall-clock duration.
@@ -82,6 +94,12 @@ impl SimMetrics {
             SimPhase::Fetch => 3,
         }];
         self.registry.observe(id, elapsed.as_secs_f64());
+    }
+
+    /// Count one fast-path cycle (no stage ran, so no phase observed).
+    #[inline]
+    pub(crate) fn count_quiet_cycle(&mut self) {
+        self.registry.inc(self.quiet);
     }
 
     /// Fold the end-of-run `SimStats` counters into the registry. Called
@@ -156,8 +174,10 @@ mod tests {
         m.observe_phase(SimPhase::Fetch, Duration::from_nanos(250));
         m.observe_phase(SimPhase::Fetch, Duration::from_micros(5));
         m.observe_phase(SimPhase::Commit, Duration::from_nanos(80));
+        m.count_quiet_cycle();
         let snap = m.snapshot();
-        assert_eq!(snap.series.len(), 4);
+        // Four stage histograms plus the quiet-cycle counter.
+        assert_eq!(snap.series.len(), 5);
         let fetch = snap
             .series
             .iter()
@@ -167,6 +187,12 @@ mod tests {
             SeriesValue::Histogram { count, .. } => assert_eq!(*count, 2),
             v => panic!("{v:?}"),
         }
+        let quiet = snap
+            .series
+            .iter()
+            .find(|s| s.name == "mmt_quiet_cycles_total")
+            .unwrap();
+        assert_eq!(quiet.value, SeriesValue::Counter(1));
     }
 
     #[test]

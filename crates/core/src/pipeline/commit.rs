@@ -7,7 +7,9 @@ use mmt_isa::Inst;
 use mmt_obs::TraceEvent;
 
 impl Simulator {
-    pub(super) fn commit_stage(&mut self) {
+    /// Retire up to `commit_width` completed uops. Returns whether any
+    /// retired.
+    pub(super) fn commit_stage(&mut self) -> bool {
         let mut budget = self.cfg.commit_width;
         let mut merge_checks = self.cfg.merge_checks_per_cycle;
         while budget > 0 {
@@ -32,6 +34,7 @@ impl Simulator {
             self.commit_uop(id, &mut merge_checks);
             budget -= 1;
         }
+        budget < self.cfg.commit_width
     }
 
     fn commit_uop(&mut self, id: UopId, merge_checks: &mut usize) {

@@ -9,8 +9,13 @@ use mmt_isa::{Inst, MemSharing, MAX_THREADS};
 use mmt_obs::{LvipOutcome, SplitCause, SplitKind, TraceEvent};
 
 impl Simulator {
-    pub(super) fn dispatch_stage(&mut self) {
+    /// Split, rename and dispatch decoded macro-ops in order. Returns
+    /// whether any dispatched or the LVIP learned a mismatch. A stalled
+    /// head's split is re-evaluated every cycle; with no mismatch that
+    /// retry changes only `energy.split_evals` and the LVIP lookup count.
+    pub(super) fn dispatch_stage(&mut self) -> bool {
         let mut slots = self.cfg.rename_width;
+        let mut acted = false;
         // Recycled scratch for the per-macro-op uop id list (taken out for
         // the loop because the body needs `&mut self`).
         let mut created = std::mem::take(&mut self.scratch.created);
@@ -86,8 +91,10 @@ impl Simulator {
                 || self.iq.len() + parts > self.cfg.iq_size
                 || (is_mem && self.lsq_live + parts > self.cfg.lsq_size)
             {
+                acted |= lvip_rollback;
                 break;
             }
+            acted = true;
             let mo = self.decode_queue.pop_front().expect("front checked above");
             slots -= parts;
             self.stats.uops_dispatched += parts as u64;
@@ -312,8 +319,9 @@ impl Simulator {
                     infos,
                     deps,
                     detect_mask: mo.detect_mask & part.itid.mask(),
+                    ready_at: None,
+                    blocked_by: None,
                     fetched_merged: mo.itid.is_merged(),
-                    issued: false,
                     complete_at: None,
                     committed_mask: 0,
                     is_mem,
@@ -385,5 +393,6 @@ impl Simulator {
             }
         }
         self.scratch.created = created;
+        acted
     }
 }

@@ -23,8 +23,13 @@ const CATCHUP_ENTRY_SLACK: u64 = 1;
 const CATCHUP_OVERSHOOT_SLACK: u64 = 256;
 
 impl Simulator {
-    pub(super) fn fetch_stage(&mut self) -> Result<(), SimError> {
+    /// Fetch for up to `max_fetch_threads` entities. Returns whether any
+    /// front-end state changed: a fetch block resolved, a catch-up was
+    /// cancelled, a hint park started or expired, groups remerged, or an
+    /// entity accessed the instruction cache.
+    pub(super) fn fetch_stage(&mut self) -> Result<bool, SimError> {
         let n = self.threads.len();
+        let mut acted = false;
 
         // Unblock threads whose redirect has resolved.
         for t in 0..n {
@@ -32,7 +37,8 @@ impl Simulator {
                 if b == PENDING_UOP {
                     continue; // the blocking instruction has not dispatched yet
                 }
-                if let Some(c) = self.uops[b].complete_at.filter(|_| self.uops[b].issued) {
+                if let Some(c) = self.uops[b].complete_at {
+                    acted = true;
                     let resume = c + self.cfg.redirect_penalty;
                     if self.now >= resume {
                         self.threads[t].blocked_on = None;
@@ -55,6 +61,7 @@ impl Simulator {
             for t in 0..n {
                 if let SyncMode::Catchup { ahead } = self.sync.mode(t) {
                     if self.pair_progress_delta(t, ahead) > CATCHUP_OVERSHOOT_SLACK as i64 {
+                        acted = true;
                         self.sync.cancel_catchup(t);
                         self.emit(TraceEvent::ModeTransition {
                             thread: t as u8,
@@ -76,6 +83,7 @@ impl Simulator {
                             || self.sync.group_mask(t) & (1 << u) != 0
                     });
                     if self.now >= since + self.cfg.hint_wait_limit || no_partner_possible {
+                        acted = true;
                         self.threads[t].hint_skip_pc = Some(self.threads[t].machine.pc());
                         self.threads[t].hint_parked_since = None;
                     }
@@ -105,6 +113,7 @@ impl Simulator {
                             || self.pair_progress_delta(a, b).unsigned_abs()
                                 <= self.cfg.merge_alignment_slack)
                     {
+                        acted = true;
                         // Record remerge distances for catching-up threads.
                         for t in [a, b] {
                             if !self.sync.is_merged(t) {
@@ -184,7 +193,7 @@ impl Simulator {
                 let pc = self.threads[lead].machine.pc();
                 let skip = self.threads[lead].hint_skip_pc == Some(pc);
                 if !skip {
-                    self.threads[lead].hint_skip_pc = None;
+                    acted |= self.threads[lead].hint_skip_pc.take().is_some();
                 }
                 let partner_exists = (0..self.threads.len())
                     .any(|u| !members.contains(u) && !self.threads[u].halted_fetch);
@@ -204,6 +213,7 @@ impl Simulator {
                     for t in members.threads() {
                         self.threads[t].hint_parked_since = Some(self.now);
                     }
+                    acted = true;
                     continue;
                 }
             }
@@ -215,13 +225,15 @@ impl Simulator {
             // thread would drift across the lap boundary before the
             // behind thread arrives, ratcheting a permanent one-iteration
             // skew that destroys execute-identical merging.
+            // Zero only when the decode queue was full: no cache access.
             let fetched = self.fetch_entity(members, slots)?;
             if fetched > 0 {
+                acted = true;
                 slots -= fetched;
                 entities_fetched += 1;
             }
         }
-        Ok(())
+        Ok(acted)
     }
 
     /// Signed progress difference of `t` relative to `u`, measured from

@@ -270,6 +270,10 @@ impl Simulator {
             now: self.now,
             wd_last_retired: self.wd_last_retired,
             wd_last_progress: self.wd_last_progress,
+            // A restored run re-derives the fast path from its first
+            // stepped cycle.
+            quiet_until: 0,
+            quiet_retries: (0, 0),
             sync: self.sync.clone(),
             bpred: self.bpred.clone(),
             btb: self.btb.clone(),

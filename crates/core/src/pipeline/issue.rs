@@ -7,7 +7,9 @@ use mmt_isa::{Inst, MemSharing};
 use mmt_obs::TraceEvent;
 
 impl Simulator {
-    pub(super) fn issue_stage(&mut self) {
+    /// Issue up to `issue_width` ready uops, oldest first. Returns
+    /// whether any issued.
+    pub(super) fn issue_stage(&mut self) -> bool {
         let mut budget = self.cfg.issue_width;
         let mut alu = self.cfg.int_alus;
         let mut fpu = self.cfg.fpus;
@@ -25,7 +27,7 @@ impl Simulator {
                 break;
             }
             let id = self.iq[i];
-            if !self.deps_ready(id) || !self.mem_ready(id) {
+            if !self.operands_ready(id) {
                 i += 1;
                 continue;
             }
@@ -66,11 +68,7 @@ impl Simulator {
                 }
                 self.now + class.latency()
             };
-            {
-                let u = &mut self.uops[id];
-                u.issued = true;
-                u.complete_at = Some(complete_at);
-            }
+            self.uops[id].complete_at = Some(complete_at);
             if self.obs.is_some() {
                 let (pc, mask) = (self.uops[id].pc, self.uops[id].itid.mask());
                 self.emit(TraceEvent::Issue {
@@ -85,27 +83,63 @@ impl Simulator {
             push_counted(&mut issued_ids, id, &mut self.stats.scratch_growth_events);
             i += 1;
         }
-        if !issued_ids.is_empty() {
+        let issued = !issued_ids.is_empty();
+        if issued {
             self.iq.retain(|id| !issued_ids.contains(id));
         }
         self.scratch.issued_ids = issued_ids;
+        issued
     }
 
-    fn deps_ready(&self, id: UopId) -> bool {
-        self.uops[id].deps.iter().all(|&(d, seq)| {
-            let dep = &self.uops[d];
+    /// Whether every producer of `id` has completed by now.
+    ///
+    /// While some producer is unissued this polls them, starting with
+    /// the one that blocked the last poll. Once all have issued it
+    /// caches their latest completion in [`Uop::ready_at`](super::Uop),
+    /// and from then on the test is one comparison. The cache is exact:
+    /// `complete_at` is fixed at issue, a producer that retires later
+    /// completed before it retired, and stores dispatched after the load
+    /// are younger, so never among its producers.
+    fn operands_ready(&mut self, id: UopId) -> bool {
+        let u = &self.uops[id];
+        if let Some(ready_at) = u.ready_at {
+            return ready_at <= self.now;
+        }
+        if let Some((b, seq)) = u.blocked_by {
+            if self.uops[b].seq == seq && self.uops[b].complete_at.is_none() {
+                return false;
+            }
+        }
+        match self.producers_ready_at(id) {
+            Ok(ready_at) => {
+                self.uops[id].ready_at = Some(ready_at);
+                ready_at <= self.now
+            }
+            Err(blocker) => {
+                self.uops[id].blocked_by = Some(blocker);
+                false
+            }
+        }
+    }
+
+    /// The latest completion cycle among `id`'s live producers — its
+    /// register deps and, for a load, the older same-address stores of
+    /// each owning thread (oracle-exact disambiguation; completed stores
+    /// forward) — or `Err((slot, seq))` naming an unissued one.
+    pub(super) fn producers_ready_at(&self, id: UopId) -> Result<u64, (UopId, u64)> {
+        let u = &self.uops[id];
+        let mut ready_at = 0;
+        for &(d, seq) in &u.deps {
+            let p = &self.uops[d];
             // A seq mismatch means the producer retired and its slot was
             // recycled — retired implies completed.
-            dep.seq != seq || dep.completed(self.now)
-        })
-    }
-
-    /// Loads must wait for older overlapping stores from the same thread
-    /// to complete (oracle-exact disambiguation; completed stores forward).
-    fn mem_ready(&self, id: UopId) -> bool {
-        let u = &self.uops[id];
+            if p.seq != seq {
+                continue;
+            }
+            ready_at = ready_at.max(p.complete_at.ok_or((d, seq))?);
+        }
         if !matches!(u.inst, Inst::Ld { .. }) {
-            return true;
+            return Ok(ready_at);
         }
         for t in u.itid.threads() {
             let addr = u.infos[t]
@@ -115,15 +149,13 @@ impl Simulator {
             for &(sid, saddr) in &self.store_lists[t] {
                 // In-flight stores are always live, so seq ordering is the
                 // dispatch ordering the recycled slot ids no longer carry.
-                if self.uops[sid].seq < u.seq
-                    && saddr == addr
-                    && !self.uops[sid].completed(self.now)
-                {
-                    return false;
+                let s = &self.uops[sid];
+                if s.seq < u.seq && saddr == addr {
+                    ready_at = ready_at.max(s.complete_at.ok_or((sid, s.seq))?);
                 }
             }
         }
-        true
+        Ok(ready_at)
     }
 
     fn execute_mem(&mut self, id: UopId) -> u64 {

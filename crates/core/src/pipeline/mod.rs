@@ -238,12 +238,19 @@ struct Uop {
     /// Producers this uop waits on, as `(slot, seq)` pairs: if the slot's
     /// current seq differs, the producer has retired (hence completed).
     deps: Vec<(UopId, u64)>,
+    /// Latest completion cycle of every producer (deps and, for loads,
+    /// older same-address stores), cached by the issue stage once all of
+    /// them have issued; `None` until then.
+    ready_at: Option<u64>,
+    /// The unissued producer `(slot, seq)` that failed the last
+    /// readiness poll; polling resumes only once it has issued.
+    blocked_by: Option<(UopId, u64)>,
     detect_mask: u8,
     /// The fetch ITID had more than one owner (even if this uop is a
     /// split singleton) — extends register-merge eligibility to
     /// fetch-identical instructions the RST pessimistically split.
     fetched_merged: bool,
-    issued: bool,
+    /// Completion cycle, fixed when the uop issues (`None` until then).
     complete_at: Option<u64>,
     committed_mask: u8,
     is_mem: bool,
@@ -253,7 +260,7 @@ struct Uop {
 
 impl Uop {
     fn completed(&self, now: u64) -> bool {
-        self.issued && self.complete_at.is_some_and(|c| c <= now)
+        self.complete_at.is_some_and(|c| c <= now)
     }
 
     /// Placeholder occupying a freshly grown arena slot until dispatch
@@ -268,9 +275,10 @@ impl Uop {
             class: OpClass::IntAlu,
             infos: [None; MAX_THREADS],
             deps: Vec::new(),
+            ready_at: None,
+            blocked_by: None,
             detect_mask: 0,
             fetched_merged: false,
-            issued: false,
             complete_at: None,
             committed_mask: 0,
             is_mem: false,
@@ -372,6 +380,13 @@ pub struct Simulator {
     // retired count last time progress was seen, and when.
     wd_last_retired: u64,
     wd_last_progress: u64,
+
+    // Quiet-cycle fast path (DESIGN.md §10): while `now < quiet_until`
+    // no stage can act, so `step_cycle` only replays the stalled
+    // dispatch retry's per-cycle `(split_evals, LVIP lookups)` increments
+    // in `quiet_retries`.
+    quiet_until: u64,
+    quiet_retries: (u64, u64),
 
     // Front end.
     sync: FetchSync,
@@ -520,6 +535,8 @@ impl Simulator {
             now: 0,
             wd_last_retired: 0,
             wd_last_progress: 0,
+            quiet_until: 0,
+            quiet_retries: (0, 0),
             program: spec.program,
             sharing: spec.sharing,
             memories: spec.memories,
@@ -541,12 +558,22 @@ impl Simulator {
         Ok(self.finish())
     }
 
-    /// Advance the machine by one cycle (commit, issue, dispatch, fetch).
+    /// Advance the machine by exactly one cycle (commit, issue, dispatch,
+    /// fetch).
     ///
     /// [`Simulator::run`] is a loop over this; it is public so tests and
     /// checkers can observe — or deliberately corrupt — mid-flight state
     /// between cycles. With the `check-invariants` feature enabled,
     /// [`Simulator::validate`] runs after every cycle.
+    ///
+    /// A cycle in which no stage acts is *quiet*. After one, the cycles
+    /// before the next event that could let a stage act (an operand or
+    /// commit-head completion, a fetch unblock, a decode-queue entry
+    /// becoming ready, a hint-park expiry) are quiet too, so those calls
+    /// skip the stages: they run the watchdogs and window sampling,
+    /// charge the stalled dispatch retry's split evaluation and LVIP
+    /// lookups, and advance the clock. Every statistic is the same as if
+    /// the stages had run.
     ///
     /// # Errors
     ///
@@ -561,10 +588,28 @@ impl Simulator {
             });
         }
         self.check_watchdogs()?;
-        self.timed_phase(crate::SimPhase::Commit, Simulator::commit_stage);
-        self.timed_phase(crate::SimPhase::Issue, Simulator::issue_stage);
-        self.timed_phase(crate::SimPhase::Dispatch, Simulator::dispatch_stage);
-        self.timed_phase(crate::SimPhase::Fetch, Simulator::fetch_stage)?;
+        if self.now < self.quiet_until {
+            let (split_evals, lvip_lookups) = self.quiet_retries;
+            self.stats.energy.split_evals += split_evals;
+            self.lvip.charge_lookups(lvip_lookups);
+            if let Some(m) = self.metrics.as_deref_mut() {
+                m.count_quiet_cycle();
+            }
+        } else {
+            let split_evals = self.stats.energy.split_evals;
+            let lvip_lookups = self.lvip.lookup_count();
+            let committed = self.timed_phase(crate::SimPhase::Commit, Simulator::commit_stage);
+            let issued = self.timed_phase(crate::SimPhase::Issue, Simulator::issue_stage);
+            let dispatched = self.timed_phase(crate::SimPhase::Dispatch, Simulator::dispatch_stage);
+            let fetched = self.timed_phase(crate::SimPhase::Fetch, Simulator::fetch_stage)?;
+            if !(committed || issued || dispatched || fetched) {
+                self.quiet_retries = (
+                    self.stats.energy.split_evals - split_evals,
+                    self.lvip.lookup_count() - lvip_lookups,
+                );
+                self.quiet_until = self.next_event();
+            }
+        }
         if let Some(obs) = self.obs.as_deref_mut() {
             if obs.window_due(self.now) {
                 obs.sample_window(
@@ -639,6 +684,46 @@ impl Simulator {
         }
     }
 
+    /// The earliest cycle after `now` at which a stage could act when
+    /// none acted this cycle (`u64::MAX` if none ever can). On unchanged
+    /// state, these are the only comparisons against the clock the
+    /// stages make: an IQ entry's resolved `ready_at`, an issued
+    /// commit-queue head's `complete_at`, a thread's fetch
+    /// `blocked_until`, the decode-queue front's `ready_at`, and a
+    /// software-hint park's expiry. A time at or before `now` that did
+    /// not fire is waiting on one of the others. A quiet cycle polls every
+    /// IQ entry (none issued, so the select scan never ran out of
+    /// width), so an unresolved entry waits on an unissued producer.
+    fn next_event(&self) -> u64 {
+        let now = self.now;
+        let mut next = u64::MAX;
+        let mut consider = |t: u64| {
+            if t > now {
+                next = next.min(t);
+            }
+        };
+        for &id in &self.iq {
+            if let Some(ready_at) = self.uops[id].ready_at {
+                consider(ready_at);
+            }
+        }
+        for ts in &self.threads {
+            if let Some(&head) = ts.commit_queue.front() {
+                if let Some(c) = self.uops[head].complete_at {
+                    consider(c);
+                }
+            }
+            consider(ts.blocked_until);
+            if let Some(since) = ts.hint_parked_since {
+                consider(since.saturating_add(self.cfg.hint_wait_limit));
+            }
+        }
+        if let Some(mo) = self.decode_queue.front() {
+            consider(mo.ready_at);
+        }
+        next
+    }
+
     /// All threads have fetched their `halt` and drained their commit
     /// queues — nothing is left in flight.
     pub fn finished(&self) -> bool {
@@ -664,6 +749,13 @@ impl Simulator {
     ///    the number of uncommitted uops in that thread's commit queue
     ///    that write the register — a mismatch means a leak in the
     ///    fetch-increment / commit-decrement protocol.
+    /// 4. Operand-readiness cache: every resolved IQ entry's `ready_at`
+    ///    equals the latest completion of its live producers and older
+    ///    same-address stores (a producer that retired since may only
+    ///    have lowered that below a `ready_at` already passed).
+    /// 5. Quiet-cycle fast path: while it is active, recomputing the next
+    ///    event from the current state gives the same `quiet_until`, and
+    ///    no resolved IQ entry is ready.
     ///
     /// Cost is `O(in-flight uops × threads)`, so the per-cycle call is
     /// gated behind the `check-invariants` feature; calling it manually
@@ -725,6 +817,32 @@ impl Simulator {
                 }
             }
         }
+
+        let quiet = self.now < self.quiet_until;
+        for &id in &self.iq {
+            let Some(cached) = self.uops[id].ready_at else {
+                continue;
+            };
+            let fresh = self.producers_ready_at(id);
+            if fresh != Ok(cached) && !(fresh.is_ok_and(|f| f <= cached) && cached < self.now) {
+                return Err(format!(
+                    "iq uop {id}: cached ready_at {cached} but its producers give {fresh:?}"
+                ));
+            }
+            if quiet && cached <= self.now {
+                return Err(format!(
+                    "iq uop {id} is ready at {cached}, inside the quiet stretch ending at {}",
+                    self.quiet_until
+                ));
+            }
+        }
+        if quiet && self.next_event() != self.quiet_until {
+            return Err(format!(
+                "quiet stretch ends at {} but the next event is at {}",
+                self.quiet_until,
+                self.next_event()
+            ));
+        }
         Ok(())
     }
 
@@ -733,6 +851,7 @@ impl Simulator {
     /// invariant audit catches it. Not part of the stable API.
     #[doc(hidden)]
     pub fn rst_mut(&mut self) -> &mut RegSharingTable {
+        self.quiet_until = 0;
         &mut self.rst
     }
 
@@ -786,6 +905,7 @@ impl Simulator {
     /// [`crate::inject::flip_byte`], not to a live simulator).
     pub fn inject(&mut self, target: &crate::inject::FaultTarget) -> Result<(), SimError> {
         use crate::inject::FaultTarget as T;
+        self.quiet_until = 0;
         match *target {
             T::RstEntry {
                 reg,
@@ -848,6 +968,7 @@ impl Simulator {
     /// watchdog tests. Not part of the stable API.
     #[doc(hidden)]
     pub fn debug_hang_thread(&mut self, t: usize) {
+        self.quiet_until = 0;
         self.threads[t].blocked_until = u64::MAX;
     }
 

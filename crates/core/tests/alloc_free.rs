@@ -21,56 +21,69 @@ fn spec(app_name: &str, threads: usize) -> RunSpec {
     }
 }
 
+/// fft at Table 4's caches, and mcf with L1D cut to 4 KiB and L2 to
+/// 32 KiB, where most cycles are stalled on memory and take the
+/// quiet-cycle fast path.
 #[test]
 fn uop_arena_is_bounded_by_rob_and_scratch_stops_growing() {
-    for threads in [2usize, 4] {
-        let cfg = SimConfig::paper_with(threads, MmtLevel::Fxr);
-        let rob_size = cfg.rob_size;
-        let rename_width = cfg.rename_width;
-        let mut sim = Simulator::new(cfg, spec("fft", threads)).expect("valid spec");
-
-        let mut cycles = 0u64;
-        while !sim.finished() && cycles < WARMUP_CYCLES {
-            sim.step_cycle().expect("no fault");
-            cycles += 1;
+    for (app, membound) in [("fft", false), ("mcf", true)] {
+        for threads in [2usize, 4] {
+            arena_bounded_and_growth_stops(app, threads, membound);
         }
-        assert!(!sim.finished(), "workload too small to exercise warmup");
-        let growth_after_warmup = sim.stats().scratch_growth_events;
-
-        while !sim.finished() {
-            sim.step_cycle().expect("no fault");
-        }
-        let result = sim.finish();
-
-        // No heap growth in the steady-state cycle loop.
-        assert_eq!(
-            result.stats.scratch_growth_events, growth_after_warmup,
-            "{threads} threads: scratch buffers grew after warmup"
-        );
-        // The free-list bounds the arena by the ROB occupancy (plus the
-        // rename-width transient of the dispatch group being built).
-        assert!(
-            result.stats.peak_uop_arena <= (rob_size + rename_width) as u64,
-            "{threads} threads: peak arena {} exceeds ROB {} + rename width {}",
-            result.stats.peak_uop_arena,
-            rob_size,
-            rename_width
-        );
-        assert!(
-            result.stats.peak_live_uops <= rob_size as u64,
-            "{threads} threads: peak live uops {} exceeds ROB size {rob_size}",
-            result.stats.peak_live_uops
-        );
-        // The run actually dispatched far more uops than the arena holds
-        // — i.e. slots really were recycled.
-        assert!(
-            result.stats.uops_dispatched > 4 * result.stats.peak_uop_arena,
-            "{threads} threads: dispatched {} vs arena {} — free-list not exercised",
-            result.stats.uops_dispatched,
-            result.stats.peak_uop_arena
-        );
-        assert!(result.stats.peak_live_uops > 0);
     }
+}
+
+fn arena_bounded_and_growth_stops(app: &str, threads: usize, membound: bool) {
+    let mut cfg = SimConfig::paper_with(threads, MmtLevel::Fxr);
+    if membound {
+        cfg.hierarchy.l1d.size_bytes = 4 * 1024;
+        cfg.hierarchy.l2.size_bytes = 32 * 1024;
+    }
+    let rob_size = cfg.rob_size;
+    let rename_width = cfg.rename_width;
+    let mut sim = Simulator::new(cfg, spec(app, threads)).expect("valid spec");
+
+    let mut cycles = 0u64;
+    while !sim.finished() && cycles < WARMUP_CYCLES {
+        sim.step_cycle().expect("no fault");
+        cycles += 1;
+    }
+    assert!(!sim.finished(), "workload too small to exercise warmup");
+    let growth_after_warmup = sim.stats().scratch_growth_events;
+
+    while !sim.finished() {
+        sim.step_cycle().expect("no fault");
+    }
+    let result = sim.finish();
+
+    // No heap growth in the steady-state cycle loop.
+    assert_eq!(
+        result.stats.scratch_growth_events, growth_after_warmup,
+        "{app} @ {threads} threads: scratch buffers grew after warmup"
+    );
+    // The free-list bounds the arena by the ROB occupancy (plus the
+    // rename-width transient of the dispatch group being built).
+    assert!(
+        result.stats.peak_uop_arena <= (rob_size + rename_width) as u64,
+        "{app} @ {threads} threads: peak arena {} exceeds ROB {} + rename width {}",
+        result.stats.peak_uop_arena,
+        rob_size,
+        rename_width
+    );
+    assert!(
+        result.stats.peak_live_uops <= rob_size as u64,
+        "{app} @ {threads} threads: peak live uops {} exceeds ROB size {rob_size}",
+        result.stats.peak_live_uops
+    );
+    // The run actually dispatched far more uops than the arena holds
+    // — i.e. slots really were recycled.
+    assert!(
+        result.stats.uops_dispatched > 4 * result.stats.peak_uop_arena,
+        "{app} @ {threads} threads: dispatched {} vs arena {} — free-list not exercised",
+        result.stats.uops_dispatched,
+        result.stats.peak_uop_arena
+    );
+    assert!(result.stats.peak_live_uops > 0);
 }
 
 #[test]

@@ -653,3 +653,100 @@ fn pc_profile_is_off_by_default_and_consistent_when_on() {
     // The tid instruction at PC 0 can never dispatch merged.
     assert_eq!(on.stats.pc_profile[0].exec_merged, 0);
 }
+
+/// Run `sim` to completion with every cycle stepped through all four
+/// stages: `rst_mut` clears the quiet-cycle fast path, so calling it
+/// before each cycle is the reference the fast path must match.
+fn run_stepping_every_stage(mut sim: Simulator) -> SimResult {
+    while !sim.finished() {
+        sim.rst_mut();
+        sim.step_cycle().unwrap();
+    }
+    sim.finish()
+}
+
+/// A 4-thread multi-execution kernel whose one merged load mispredicts
+/// in the LVIP on every dispatch attempt while dispatch stalls: the RST
+/// splits it into {0,1} and {2,3} (`r2` = tid < 2, merged by register
+/// merging), the {0,1} part reads different values and learns the PC,
+/// and the {2,3} part reads equal values and forgets it again. A cold
+/// miss and its dependents fill a small ROB ahead of it.
+fn lvip_retry_kernel() -> (Program, Vec<Memory>) {
+    let mut b = Builder::new();
+    b.tid(Reg::R1);
+    b.slti(Reg::R2, Reg::R1, 2);
+    b.ld(Reg::R4, Reg::R0, 64);
+    for _ in 0..6 {
+        b.addi(Reg::R5, Reg::R4, 1);
+    }
+    b.ld(Reg::R3, Reg::R2, 0);
+    b.halt();
+    let memories = (0..4)
+        .map(|t| {
+            let mut m = Memory::new(t);
+            m.store(0, 5).unwrap();
+            m.store(1, 10 + t as u64).unwrap();
+            m
+        })
+        .collect();
+    (b.build().unwrap(), memories)
+}
+
+/// The quiet-cycle fast path is exact: every statistic and register
+/// matches a run that steps all four stages every cycle. The inputs
+/// cover the rules the fast path depends on beyond the golden grid: a
+/// stalled dispatch retry that keeps changing the LVIP (never quiet),
+/// and software-hint parks, whose expiry is an event.
+#[test]
+fn quiet_cycle_fast_path_matches_stepping_every_stage() {
+    use mmt_sim::config::SyncPolicy;
+    let (program, memories) = lvip_retry_kernel();
+    let mut cfg = SimConfig::paper_with(4, MmtLevel::Fxr);
+    cfg.rob_size = 8;
+    let lvip = RunSpec {
+        program,
+        sharing: MemSharing::PerThread,
+        memories,
+        threads: 4,
+    };
+
+    let divergent = divergent_program();
+    let rejoin_pc = divergent
+        .iter()
+        .find_map(|(pc, inst)| match inst {
+            mmt_isa::Inst::Br { target, .. } if target > pc => Some(pc + 1),
+            _ => None,
+        })
+        .expect("kernel has a forward branch");
+    let mut hinted = SimConfig::paper_with(2, MmtLevel::Fxr);
+    hinted.sync_policy = SyncPolicy::SoftwareHints;
+    hinted.remerge_hints = vec![rejoin_pc];
+    hinted.hint_wait_limit = 40;
+    let hints = RunSpec {
+        program: divergent,
+        sharing: MemSharing::Shared,
+        memories: vec![mt_memory(&[16, 24])],
+        threads: 2,
+    };
+
+    for (label, cfg, spec) in [("lvip retry", cfg, lvip), ("hint parks", hinted, hints)] {
+        let fast = Simulator::new(cfg.clone(), spec.clone())
+            .unwrap()
+            .run()
+            .unwrap();
+        let stepped = run_stepping_every_stage(Simulator::new(cfg, spec).unwrap());
+        assert_eq!(
+            format!("{:?}", fast.stats),
+            format!("{:?}", stepped.stats),
+            "{label}: statistics differ from stepping every stage"
+        );
+        assert_eq!(fast.final_regs, stepped.final_regs, "{label}: registers");
+        if label == "lvip retry" {
+            assert!(
+                fast.stats.lvip_mispredicts > 10,
+                "the stalled load must re-mispredict while it waits, got {}",
+                fast.stats.lvip_mispredicts
+            );
+        }
+    }
+}

@@ -19,7 +19,7 @@ use mmt_isa::reg::NUM_REGS;
 use mmt_isa::MemSharing;
 use mmt_sim::snapshot::{ArchState, MemArch};
 use mmt_sim::{Ffwd, MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
-use mmt_workloads::{all_apps, WorkloadInstance};
+use mmt_workloads::{all_apps, app_by_name, WorkloadInstance};
 use proptest::prelude::*;
 
 /// Test scale divisor (matches the bench crate's smoke scale).
@@ -41,6 +41,27 @@ fn cfg_for(threads: usize) -> SimConfig {
     let mut cfg = SimConfig::paper_with(threads, MmtLevel::Fxr);
     cfg.record_merge_log = true;
     cfg
+}
+
+/// [`cfg_for`] with L1D cut to 4 KiB and L2 to 32 KiB, so the working
+/// sets of the memory-bound apps miss and most cycles stall.
+fn membound_cfg_for(threads: usize) -> SimConfig {
+    let mut cfg = cfg_for(threads);
+    cfg.hierarchy.l1d.size_bytes = 4 * 1024;
+    cfg.hierarchy.l2.size_bytes = 32 * 1024;
+    cfg
+}
+
+/// One `step_cycle`, checking it advanced the clock by exactly one
+/// cycle (the quiet-cycle fast path must not skip ahead).
+fn step_one(sim: &mut Simulator) {
+    let before = sim.now();
+    sim.step_cycle().expect("workload terminates");
+    assert_eq!(
+        sim.now(),
+        before + 1,
+        "step_cycle advanced more than one cycle"
+    );
 }
 
 /// Drive a simulator to completion, returning the final architectural
@@ -67,36 +88,49 @@ fn assert_results_identical(a: &SimResult, b: &SimResult, label: &str) {
 /// every observable output must be bit-identical. The uninterrupted run
 /// *is* the checkpointed simulator continued (checkpointing must not
 /// perturb it), so each app costs one full run plus one resumed tail.
+/// Besides the suite at Table 4's caches, mcf and canneal run with the
+/// data caches cut down, where stalled stretches dominate, and every
+/// `step_cycle` must advance the clock by exactly one cycle.
 #[test]
 fn restore_at_cycle_n_is_bit_identical_across_suite() {
+    let mut inputs = Vec::new();
     for app in all_apps() {
         for threads in [2usize, 4] {
-            let w = app.instance(threads, SCALE);
-            let name = w.name.clone();
-            let mut sim = Simulator::new(cfg_for(threads), to_spec(w)).expect("valid spec");
-            let mut ckpt = None;
-            while !sim.finished() {
-                if sim.now() == CKPT_CYCLE {
-                    ckpt = Some(sim.checkpoint().expect("untraced run checkpoints"));
-                }
-                sim.step_cycle().expect("workload terminates");
-            }
-            let uninterrupted = sim.finish();
-            let ckpt =
-                ckpt.unwrap_or_else(|| panic!("{name} @ {threads}t finished before {CKPT_CYCLE}"));
-            assert_eq!(ckpt.cycle(), CKPT_CYCLE);
-
-            let mut resumed = ckpt.restore();
-            while !resumed.finished() {
-                resumed.step_cycle().expect("resumed run terminates");
-            }
-            let resumed = resumed.finish();
-            assert_results_identical(
-                &uninterrupted,
-                &resumed,
-                &format!("{name} @ {threads} threads"),
-            );
+            inputs.push((app.instance(threads, SCALE), cfg_for(threads)));
         }
+    }
+    for name in ["mcf", "canneal"] {
+        let app = app_by_name(name).expect("suite app");
+        for threads in [2usize, 4] {
+            inputs.push((app.instance(threads, SCALE), membound_cfg_for(threads)));
+        }
+    }
+    for (w, cfg) in inputs {
+        let threads = w.threads;
+        let name = format!("{} (L1D {} B)", w.name, cfg.hierarchy.l1d.size_bytes);
+        let mut sim = Simulator::new(cfg, to_spec(w)).expect("valid spec");
+        let mut ckpt = None;
+        while !sim.finished() {
+            if sim.now() == CKPT_CYCLE {
+                ckpt = Some(sim.checkpoint().expect("untraced run checkpoints"));
+            }
+            step_one(&mut sim);
+        }
+        let uninterrupted = sim.finish();
+        let ckpt =
+            ckpt.unwrap_or_else(|| panic!("{name} @ {threads}t finished before {CKPT_CYCLE}"));
+        assert_eq!(ckpt.cycle(), CKPT_CYCLE);
+
+        let mut resumed = ckpt.restore();
+        while !resumed.finished() {
+            step_one(&mut resumed);
+        }
+        let resumed = resumed.finish();
+        assert_results_identical(
+            &uninterrupted,
+            &resumed,
+            &format!("{name} @ {threads} threads"),
+        );
     }
 }
 
