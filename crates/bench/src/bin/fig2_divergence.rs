@@ -8,16 +8,14 @@
 //! cargo run --release -p mmt-bench --bin fig2_divergence
 //! ```
 
-use mmt_bench::arg_value;
+use mmt_bench::cli::scale_arg;
 use mmt_isa::MemSharing;
 use mmt_profile::{collect_trace, profile_pair, DIVERGENCE_BUCKETS};
 use mmt_workloads::all_apps;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale: u64 = arg_value(&args, "--scale")
-        .map(|v| v.parse().expect("--scale takes a number"))
-        .unwrap_or(1);
+    let scale = scale_arg(&args, 1, false);
 
     println!("Figure 2: divergent path length differences (taken branches, 2 threads)");
     print!("{:<14} {:>6}", "app", "divs");

@@ -27,6 +27,7 @@
 //! and ~1.25 (4 threads); Limit strictly above FXR, with the largest
 //! FXR-to-Limit gaps for libsvm, twolf, vortex and vpr.
 
+use mmt_bench::cli::scale_arg;
 use mmt_bench::retry::RetryPolicy;
 use mmt_bench::sweep::{
     jobs_arg, resume_dir_arg, run_supervised, trace_dir_arg, write_trace_files, BenchReport,
@@ -171,9 +172,7 @@ fn main() {
     let threads: usize = arg_value(&args, "--threads")
         .map(|v| v.parse().expect("--threads takes a number"))
         .unwrap_or(2);
-    let scale: u64 = arg_value(&args, "--scale")
-        .map(|v| v.parse().expect("--scale takes a number"))
-        .unwrap_or(FULL_SCALE);
+    let scale = scale_arg(&args, FULL_SCALE, false);
     let jobs = jobs_arg(&args);
     let trace_dir = trace_dir_arg(&args);
     let resume = resume_dir_arg(&args).map(|dir| {

@@ -15,6 +15,7 @@
 //! Apps fan out across a `--jobs`-sized worker pool; telemetry lands in
 //! `results/BENCH_fig5b_identified.json`.
 
+use mmt_bench::cli::scale_arg;
 use mmt_bench::sweep::{jobs_arg, run_parallel, timed_run, BenchReport};
 use mmt_bench::{arg_value, run_app, FULL_SCALE};
 use mmt_sim::MmtLevel;
@@ -26,9 +27,7 @@ fn main() {
     let threads: usize = arg_value(&args, "--threads")
         .map(|v| v.parse().expect("--threads takes a number"))
         .unwrap_or(2);
-    let scale: u64 = arg_value(&args, "--scale")
-        .map(|v| v.parse().expect("--scale takes a number"))
-        .unwrap_or(FULL_SCALE);
+    let scale = scale_arg(&args, FULL_SCALE, false);
     let jobs = jobs_arg(&args);
 
     println!("Figure 5(b): identified identical instructions, {threads} threads, MMT-FXR");

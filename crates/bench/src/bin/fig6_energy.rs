@@ -10,16 +10,15 @@
 //! cargo run --release -p mmt-bench --bin fig6_energy
 //! ```
 
-use mmt_bench::{arg_value, geomean, run_app, FULL_SCALE};
+use mmt_bench::cli::scale_arg;
+use mmt_bench::{geomean, run_app, FULL_SCALE};
 use mmt_energy::EnergyModel;
 use mmt_sim::MmtLevel;
 use mmt_workloads::all_apps;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale: u64 = arg_value(&args, "--scale")
-        .map(|v| v.parse().expect("--scale takes a number"))
-        .unwrap_or(FULL_SCALE);
+    let scale = scale_arg(&args, FULL_SCALE, false);
     let model = EnergyModel::default();
 
     println!("Figure 6: energy per job, normalized to SMT (2 threads)");

@@ -18,6 +18,7 @@
 //! The (knob value × app) grid fans out across a `--jobs`-sized worker
 //! pool; telemetry lands in `results/BENCH_fig7_<sweep>.json`.
 
+use mmt_bench::cli::scale_arg;
 use mmt_bench::sweep::{jobs_arg, run_parallel, timed_run, BenchReport, RunTelemetry};
 use mmt_bench::{arg_value, geomean, run_app_with, speedup, FULL_SCALE};
 use mmt_sim::MmtLevel;
@@ -30,9 +31,7 @@ fn main() {
     let threads: usize = arg_value(&args, "--threads")
         .map(|v| v.parse().expect("--threads takes a number"))
         .unwrap_or(2);
-    let scale: u64 = arg_value(&args, "--scale")
-        .map(|v| v.parse().expect("--scale takes a number"))
-        .unwrap_or(FULL_SCALE);
+    let scale = scale_arg(&args, FULL_SCALE, false);
     let jobs = jobs_arg(&args);
 
     match sweep.as_str() {

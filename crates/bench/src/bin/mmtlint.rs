@@ -27,6 +27,7 @@
 
 use mmt_analysis::{lint_program_with_sharing, Lint, Oracle};
 use mmt_bench::arg_value;
+use mmt_bench::cli::scale_arg;
 use mmt_isa::{MemSharing, Program};
 use mmt_workloads::{all_apps, app_by_name, App};
 
@@ -96,9 +97,7 @@ fn main() {
     let threads: usize = arg_value(&args, "--threads")
         .map(|v| v.parse().expect("--threads takes 1..=4"))
         .unwrap_or(2);
-    let scale: u64 = arg_value(&args, "--scale")
-        .map(|v| v.parse().expect("--scale takes a number"))
-        .unwrap_or(16);
+    let scale = scale_arg(&args, 16, format == Format::Json);
 
     let apps: Vec<App> = if app_name == "all" {
         all_apps()

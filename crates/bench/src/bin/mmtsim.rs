@@ -41,7 +41,7 @@
 //! | `--sample-warmup N`   | `500`  | detailed-but-unmeasured instructions per window |
 //! | `--sample-measure N`  | `1500` | measured instructions per window |
 
-use mmt_bench::cli::{fail_run, fail_usage, format_json_arg};
+use mmt_bench::cli::{fail_run, fail_usage, format_json_arg, scale_arg};
 use mmt_bench::sample::{run_sampled, run_sampled_profiled, SampleConfig};
 use mmt_bench::{arg_value, to_run_spec, FULL_SCALE};
 use mmt_energy::EnergyModel;
@@ -68,12 +68,7 @@ fn main() {
                 .unwrap_or_else(|_| fail_usage(json, "--threads takes 1..=4"))
         })
         .unwrap_or(2);
-    let scale: u64 = arg_value(&args, "--scale")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail_usage(json, "--scale takes a number"))
-        })
-        .unwrap_or(FULL_SCALE);
+    let scale = scale_arg(&args, FULL_SCALE, json);
 
     let apps: Vec<App> = if app_name == "all" {
         all_apps()
@@ -407,7 +402,7 @@ fn resume_run(cfg: SimConfig, w: WorkloadInstance, path: &str, json: bool) -> Si
              resuming is architecturally sound but timing is not comparable"
         );
     }
-    Simulator::from_arch(cfg, w.program, &state)
+    Simulator::from_arch(cfg, w.program, state)
         .unwrap_or_else(|e| fail_usage(json, format!("cannot resume from {path}: {e}")))
         .run()
         .unwrap_or_else(|e| fail_run(json, format!("simulation failed: {e}")))

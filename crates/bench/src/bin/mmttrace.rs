@@ -31,6 +31,7 @@
 //! | `--ring N`     | `4194304` | event-ring capacity, in records |
 //! | `--out DIR`    | `traces`  | output directory |
 
+use mmt_bench::cli::scale_arg;
 use mmt_bench::{arg_value, run_app_with};
 use mmt_obs::validate_chrome_trace;
 use mmt_sim::{MmtLevel, TraceConfig};
@@ -53,9 +54,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let scale: u64 = arg_value(&args, "--scale")
-        .map(|v| v.parse().expect("--scale takes a number"))
-        .unwrap_or(1);
+    let scale = scale_arg(&args, 1, false);
     let window: u64 = arg_value(&args, "--window")
         .map(|v| v.parse().expect("--window takes a number"))
         .unwrap_or(1024);

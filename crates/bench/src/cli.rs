@@ -27,6 +27,19 @@ pub fn format_json_arg(args: &[String]) -> Result<bool, String> {
     }
 }
 
+/// Parse `--scale N`, the iteration divisor for app instances, falling
+/// back to `default`. Anything but a whole number of at least 1 is a
+/// usage error.
+pub fn scale_arg(args: &[String], default: u64, json: bool) -> u64 {
+    match crate::arg_value(args, "--scale") {
+        None => default,
+        Some(v) => match v.parse() {
+            Ok(scale) if scale >= 1 => scale,
+            _ => fail_usage(json, format!("--scale takes a number >= 1, got '{v}'")),
+        },
+    }
+}
+
 /// Report a usage error and exit 2.
 pub fn fail_usage(json: bool, message: impl AsRef<str>) -> ! {
     fail(EXIT_USAGE, json, message.as_ref())

@@ -32,7 +32,7 @@
 //! | `--progress PATH` | off   | stream per-case progress JSONL to PATH |
 
 use crate::arg_value;
-use crate::cli::{fail_run, fail_usage, format_json_arg};
+use crate::cli::{fail_run, fail_usage, format_json_arg, scale_arg};
 use crate::ledger::LedgerRecord;
 use crate::sweep::{jobs_arg, progress_arg, run_parallel, write_report, ProgressSink};
 use mmt_workloads::{all_apps, app_by_name, App};
@@ -100,12 +100,7 @@ impl GateSpec {
                 })
             })
             .collect();
-        let scale: u64 = arg_value(args, "--scale")
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| fail_usage(json, "--scale takes a number"))
-            })
-            .unwrap_or(16);
+        let scale = scale_arg(args, 16, json);
         let jobs = jobs_arg(args);
         let progress = progress_arg(args).map(|path| {
             Arc::new(ProgressSink::create(&path).unwrap_or_else(|e| {

@@ -9,7 +9,9 @@
 //!   across every mode switch;
 //! * **detailed** — a full [`Simulator`] is rebuilt from the
 //!   architectural state with the warmed hierarchy transplanted in
-//!   ([`Simulator::from_arch_warmed`]), run for a *warmup* interval to
+//!   ([`Simulator::from_arch_warmed`]; [`Simulator::into_arch_warmed`]
+//!   hands both back by move, so no memory image is copied at either
+//!   switch), run for a *warmup* interval to
 //!   refill the pipeline and fetch groups (RST/LVIP warm state travels
 //!   with the snapshot), then *measured* for a fixed instruction
 //!   quantum.
@@ -258,7 +260,7 @@ fn run_sampled_inner(
         // state, warm it, then measure one quantum.
         let window_wall = Instant::now();
         let mut sim =
-            Simulator::from_arch_warmed(cfg.clone(), spec.program.clone(), &state, hierarchy)
+            Simulator::from_arch_warmed(cfg.clone(), spec.program.clone(), state, hierarchy)
                 .expect("sampled handoff accepts the architectural state");
         let window_start = sim.instructions_fetched();
         let warm_target = window_start + sample.warmup;
@@ -287,14 +289,13 @@ fn run_sampled_inner(
             prev_end = end;
         }
         detailed_insts += sim.instructions_fetched() - window_start;
-        state = sim.arch_state();
         // Inner window sims never reach finish(); their stage profile is
         // read out here (None unless `cfg.metrics` is on).
         if let Some(p) = profiler.as_mut() {
             let snap = sim.metrics_snapshot();
             p.absorb(snap);
         }
-        hierarchy = sim.into_hierarchy();
+        (state, hierarchy) = sim.into_arch_warmed();
         if let Some(p) = profiler.as_mut() {
             let detailed = p.detailed;
             p.observe(detailed, window_wall.elapsed());

@@ -452,7 +452,7 @@ mod tests {
                 m.step(&prog, &mut mem).unwrap();
             }
             assert_eq!(state.threads[0], ThreadArch::from_machine(&m));
-            assert_eq!(state.memories[0].to_memory(), mem);
+            assert_eq!(Memory::from(state.memories[0].clone()), mem);
         }
         assert!(m.halted());
     }

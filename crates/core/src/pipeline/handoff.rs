@@ -4,6 +4,7 @@
 use super::{RunSpec, Scratch, SimError, Simulator};
 use crate::config::SimConfig;
 use crate::snapshot::{self, ArchState, MemArch, ThreadArch};
+use mmt_isa::interp::Memory;
 use mmt_isa::reg::NUM_REGS;
 use mmt_isa::Program;
 use std::collections::VecDeque;
@@ -82,6 +83,11 @@ impl Simulator {
     /// This is the mode-handoff payload — serializable via
     /// [`ArchState::to_json`] and executable by [`crate::Ffwd`].
     pub fn arch_state(&self) -> ArchState {
+        self.arch_with(self.memories.iter().map(MemArch::from_memory).collect())
+    }
+
+    /// [`Simulator::arch_state`] over already-captured memory images.
+    fn arch_with(&self, memories: Vec<MemArch>) -> ArchState {
         ArchState {
             cycle: self.now,
             config_digest: snapshot::config_digest(&self.cfg),
@@ -91,26 +97,41 @@ impl Simulator {
                 .iter()
                 .map(|t| ThreadArch::from_machine(&t.machine))
                 .collect(),
-            memories: self.memories.iter().map(MemArch::from_memory).collect(),
+            memories,
             rst: Some(self.rst.entries_raw()),
             lvip: Some(self.lvip.entries().to_vec()),
         }
     }
 
+    /// End a detailed window: the architectural state (as
+    /// [`Simulator::arch_state`]) and the memory hierarchy, both moved
+    /// out so fast-forward can continue on them without copying a memory
+    /// image. The counterpart of [`Simulator::from_arch_warmed`], which
+    /// quiesces the hierarchy on the way back in; functional warming
+    /// never reads fill timing, so one quiesce per detailed entry
+    /// suffices.
+    pub fn into_arch_warmed(mut self) -> (ArchState, mmt_mem::MemoryHierarchy) {
+        let memories = std::mem::take(&mut self.memories)
+            .into_iter()
+            .map(MemArch::from)
+            .collect();
+        (self.arch_with(memories), self.hierarchy)
+    }
+
     /// Build a simulator that starts from a checkpointed architectural
-    /// state instead of reset: machines and memories are restored, fetch
-    /// groups are partitioned by current PC (threads at the same PC
-    /// resume merged; halted or divergent threads resume as singletons),
-    /// and warm RST/LVIP state is applied when present and compatible.
-    /// When the state carries no warm RST, a sound one is derived from
-    /// the registers themselves (a pair shares a register iff the values
-    /// are currently equal).
+    /// state instead of reset: machines and memories are restored (the
+    /// memory images move in, uncopied), fetch groups are partitioned by
+    /// current PC (threads at the same PC resume merged; halted or
+    /// divergent threads resume as singletons), and warm RST/LVIP state
+    /// is applied when present and compatible. When the state carries no
+    /// warm RST, a sound one is derived from the registers themselves (a
+    /// pair shares a register iff the values are currently equal).
     ///
-    /// The pipeline itself (queues, ROB, predictors) starts empty, so a
-    /// resumed run's `SimStats` cover the resumed portion only; if the
-    /// restored PCs are not all equal, the initial partition is counted
-    /// as one divergence. For bit-identical continuation use
-    /// [`Simulator::checkpoint`] instead.
+    /// The pipeline itself (queues, ROB, predictors) starts empty and the
+    /// memory hierarchy cold, so a resumed run's `SimStats` cover the
+    /// resumed portion only; if the restored PCs are not all equal, the
+    /// initial partition is counted as one divergence. For bit-identical
+    /// continuation use [`Simulator::checkpoint`] instead.
     ///
     /// # Errors
     ///
@@ -120,9 +141,52 @@ impl Simulator {
     pub fn from_arch(
         cfg: SimConfig,
         program: Program,
-        state: &ArchState,
+        state: ArchState,
     ) -> Result<Simulator, SimError> {
-        for (i, t) in state.threads.iter().enumerate() {
+        Simulator::restore(cfg, program, state, None)
+    }
+
+    /// [`Simulator::from_arch`] with a functionally-warmed memory
+    /// hierarchy transplanted in (quiesced first, since this simulator's
+    /// cycle clock starts at zero). The sampled runner threads one
+    /// hierarchy through fast-forward warming and detailed windows so
+    /// cache contents stay continuous across mode switches.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::from_arch`].
+    pub fn from_arch_warmed(
+        cfg: SimConfig,
+        program: Program,
+        state: ArchState,
+        mut hierarchy: mmt_mem::MemoryHierarchy,
+    ) -> Result<Simulator, SimError> {
+        debug_assert_eq!(
+            *hierarchy.config(),
+            cfg.hierarchy,
+            "warmed hierarchy must match the run's memory configuration"
+        );
+        hierarchy.quiesce();
+        Simulator::restore(cfg, program, state, Some(hierarchy))
+    }
+
+    /// The one restore path behind [`Simulator::from_arch`] (fresh
+    /// hierarchy) and [`Simulator::from_arch_warmed`].
+    fn restore(
+        cfg: SimConfig,
+        program: Program,
+        state: ArchState,
+        hierarchy: Option<mmt_mem::MemoryHierarchy>,
+    ) -> Result<Simulator, SimError> {
+        let ArchState {
+            sharing,
+            threads,
+            memories,
+            rst,
+            lvip,
+            ..
+        } = state;
+        for (i, t) in threads.iter().enumerate() {
             if t.tid != i {
                 return Err(SimError::BadSpec(format!(
                     "checkpoint thread {i} carries tid {}",
@@ -132,14 +196,14 @@ impl Simulator {
         }
         let spec = RunSpec {
             program,
-            sharing: state.sharing,
-            memories: state.memories.iter().map(MemArch::to_memory).collect(),
-            threads: state.threads.len(),
+            sharing,
+            memories: memories.into_iter().map(Memory::from).collect(),
+            threads: threads.len(),
         };
-        let mut sim = Simulator::new(cfg, spec)?;
+        let mut sim = Simulator::with_hierarchy(cfg, spec, hierarchy)?;
         let n = sim.threads.len();
 
-        for (ts, ta) in sim.threads.iter_mut().zip(&state.threads) {
+        for (ts, ta) in sim.threads.iter_mut().zip(&threads) {
             ts.machine = ta.to_machine();
             ts.halted_fetch = ta.halted;
             // With an empty pipeline the committed state *is* the
@@ -182,7 +246,7 @@ impl Simulator {
             }
         }
 
-        match &state.rst {
+        match &rst {
             Some(raw) => sim.rst.restore_raw(raw),
             None => {
                 // Derive sound sharing from the values: a pair shares a
@@ -191,7 +255,7 @@ impl Simulator {
                 for (r, e) in raw.iter_mut().enumerate() {
                     for t in 0..n {
                         for u in (t + 1)..n {
-                            if state.threads[t].regs[r] == state.threads[u].regs[r] {
+                            if threads[t].regs[r] == threads[u].regs[r] {
                                 e.0 |= 1 << crate::rst::pair_index(t, u);
                             }
                         }
@@ -200,7 +264,7 @@ impl Simulator {
                 sim.rst.restore_raw(&raw);
             }
         }
-        if let Some(lvip) = &state.lvip {
+        if let Some(lvip) = &lvip {
             // Warm LVIP state only transfers between equally-sized
             // tables; otherwise start cold (a prediction-quality detail,
             // never a correctness one).
@@ -209,41 +273,6 @@ impl Simulator {
             }
         }
         Ok(sim)
-    }
-
-    /// [`Simulator::from_arch`] with a functionally-warmed memory
-    /// hierarchy transplanted in (quiesced first, since this simulator's
-    /// cycle clock starts at zero). The sampled runner threads one
-    /// hierarchy through fast-forward warming and detailed windows so
-    /// cache contents stay continuous across mode switches.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::from_arch`].
-    pub fn from_arch_warmed(
-        cfg: SimConfig,
-        program: Program,
-        state: &ArchState,
-        mut hierarchy: mmt_mem::MemoryHierarchy,
-    ) -> Result<Simulator, SimError> {
-        let mut sim = Simulator::from_arch(cfg, program, state)?;
-        debug_assert_eq!(
-            *hierarchy.config(),
-            sim.cfg.hierarchy,
-            "warmed hierarchy must match the run's memory configuration"
-        );
-        hierarchy.quiesce();
-        sim.hierarchy = hierarchy;
-        Ok(sim)
-    }
-
-    /// Take the memory hierarchy out of this simulator (quiesced) for
-    /// functional warming across a mode switch — the counterpart of
-    /// [`Simulator::from_arch_warmed`].
-    pub fn into_hierarchy(self) -> mmt_mem::MemoryHierarchy {
-        let mut h = self.hierarchy;
-        h.quiesce();
-        h
     }
 
     /// Field-by-field clone that preserves the capacity of every counted

@@ -443,6 +443,16 @@ impl Simulator {
     /// [`SimError::BadConfig`] / [`SimError::BadSpec`] when the
     /// configuration or spec is inconsistent.
     pub fn new(cfg: SimConfig, spec: RunSpec) -> Result<Simulator, SimError> {
+        Simulator::with_hierarchy(cfg, spec, None)
+    }
+
+    /// [`Simulator::new`] over a caller-supplied memory hierarchy (the
+    /// mode handoff's warmed one), or a fresh one for `None`.
+    fn with_hierarchy(
+        cfg: SimConfig,
+        spec: RunSpec,
+        hierarchy: Option<mmt_mem::MemoryHierarchy>,
+    ) -> Result<Simulator, SimError> {
         cfg.validate().map_err(SimError::BadConfig)?;
         let expected_mems = match spec.sharing {
             MemSharing::Shared => 1,
@@ -504,7 +514,7 @@ impl Simulator {
             bpred: TwoLevelPredictor::new(cfg.predictor, n),
             btb: Btb::new(cfg.btb_entries),
             rases: (0..n).map(|_| Ras::new(cfg.ras_depth)).collect(),
-            hierarchy: mmt_mem::MemoryHierarchy::new(cfg.hierarchy),
+            hierarchy: hierarchy.unwrap_or_else(|| mmt_mem::MemoryHierarchy::new(cfg.hierarchy)),
             decode_queue: VecDeque::with_capacity(cfg.fetch_width * 4 + 1),
             decode_capacity: cfg.fetch_width * 4,
             rst: RegSharingTable::new_all_shared(),
@@ -601,7 +611,19 @@ impl Simulator {
             let committed = self.timed_phase(crate::SimPhase::Commit, Simulator::commit_stage);
             let issued = self.timed_phase(crate::SimPhase::Issue, Simulator::issue_stage);
             let dispatched = self.timed_phase(crate::SimPhase::Dispatch, Simulator::dispatch_stage);
+            #[cfg(feature = "check-invariants")]
+            let hints = self.hint_state();
             let fetched = self.timed_phase(crate::SimPhase::Fetch, Simulator::fetch_stage)?;
+            // Fetch must report every software-hint park start, expiry
+            // and skip-marker clear: the fast path may only start on a
+            // cycle that left the front end as it found it.
+            #[cfg(feature = "check-invariants")]
+            if !fetched && self.hint_state() != hints {
+                return Err(SimError::Invariant(format!(
+                    "cycle {}: fetch changed software-hint state but reported no action",
+                    self.now
+                )));
+            }
             if !(committed || issued || dispatched || fetched) {
                 self.quiet_retries = (
                     self.stats.energy.split_evals - split_evals,
@@ -682,6 +704,15 @@ impl Simulator {
             trace,
             metrics,
         }
+    }
+
+    /// Every thread's software-hint park and skip markers.
+    #[cfg(feature = "check-invariants")]
+    fn hint_state(&self) -> Vec<(Option<u64>, Option<u64>)> {
+        self.threads
+            .iter()
+            .map(|t| (t.hint_parked_since, t.hint_skip_pc))
+            .collect()
     }
 
     /// The earliest cycle after `now` at which a stage could act when

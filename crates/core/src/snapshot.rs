@@ -103,19 +103,32 @@ pub struct MemArch {
     pub words: Vec<u64>,
 }
 
+/// Capture a functional memory by moving its image (no copy).
+impl From<Memory> for MemArch {
+    fn from(m: Memory) -> MemArch {
+        MemArch {
+            id: m.id(),
+            limit: m.limit(),
+            words: m.into_words(),
+        }
+    }
+}
+
+/// Rebuild the equivalent functional memory by moving the image (no copy).
+impl From<MemArch> for Memory {
+    fn from(m: MemArch) -> Memory {
+        Memory::from_words(m.id, m.limit, m.words)
+    }
+}
+
 impl MemArch {
-    /// Capture a functional memory.
+    /// Capture a functional memory, copying its image.
     pub fn from_memory(m: &Memory) -> MemArch {
         MemArch {
             id: m.id(),
             limit: m.limit(),
             words: m.words().to_vec(),
         }
-    }
-
-    /// Rebuild the equivalent functional memory.
-    pub fn to_memory(&self) -> Memory {
-        Memory::from_words(self.id, self.limit, self.words.clone())
     }
 
     /// Read the word at `addr` (past-the-end reads as zero); `None` when
@@ -692,9 +705,13 @@ mod tests {
         assert_eq!(m.load(9), Some(42));
         assert_eq!(m.load(3), Some(0)); // untouched reads zero
         assert_eq!(m.load(10), None);
-        let mem = m.to_memory();
+        let mem = Memory::from(m.clone());
         assert_eq!(mem.load(9).unwrap(), 42);
         assert_eq!(MemArch::from_memory(&mem), m);
+        let ptr = mem.words().as_ptr();
+        let back = MemArch::from(mem);
+        assert_eq!(back, m);
+        assert_eq!(back.words.as_ptr(), ptr, "by-value capture moves the image");
     }
 
     #[test]

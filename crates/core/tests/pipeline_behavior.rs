@@ -696,7 +696,16 @@ fn lvip_retry_kernel() -> (Program, Vec<Memory>) {
 /// matches a run that steps all four stages every cycle. The inputs
 /// cover the rules the fast path depends on beyond the golden grid: a
 /// stalled dispatch retry that keeps changing the LVIP (never quiet),
-/// and software-hint parks, whose expiry is an event.
+/// and software-hint parks, whose expiry is an event. Two more hint
+/// runs reach the fetch-side state changes a cycle can make while every
+/// other stage idles: with a zero wait limit (and thread 0 detouring on
+/// every other iteration) a park that starts in an otherwise quiet cycle
+/// expires on the very next one, so a missed park start would hold it
+/// until a later event; with 1 KiB L1s and an 8 KiB
+/// L2, threads leaving a timed-out park clear their skip markers in
+/// cycles where the decode queue is full and the back end waits on
+/// memory (under `check-invariants`, `step_cycle` also checks that fetch
+/// reports every such change).
 #[test]
 fn quiet_cycle_fast_path_matches_stepping_every_stage() {
     use mmt_sim::config::SyncPolicy;
@@ -728,8 +737,26 @@ fn quiet_cycle_fast_path_matches_stepping_every_stage() {
         memories: vec![mt_memory(&[16, 24])],
         threads: 2,
     };
+    let mut no_wait = hinted.clone();
+    no_wait.hint_wait_limit = 0;
+    let mut small_caches = hinted.clone();
+    small_caches.hierarchy.l1i.size_bytes = 1024;
+    small_caches.hierarchy.l1d.size_bytes = 1024;
+    small_caches.hierarchy.l2.size_bytes = 8 * 1024;
 
-    for (label, cfg, spec) in [("lvip retry", cfg, lvip), ("hint parks", hinted, hints)] {
+    for (label, cfg, spec) in [
+        ("lvip retry", cfg, lvip),
+        ("hint parks", hinted, hints.clone()),
+        (
+            "hint parks, no wait",
+            no_wait,
+            RunSpec {
+                memories: vec![mt_memory(&[2, 0])],
+                ..hints.clone()
+            },
+        ),
+        ("hint skips, small caches", small_caches, hints),
+    ] {
         let fast = Simulator::new(cfg.clone(), spec.clone())
             .unwrap()
             .run()

@@ -13,11 +13,13 @@
 //!    initial state lands on exactly the detailed model's final
 //!    architectural digest, and a detailed run resumed from a
 //!    JSON-round-tripped mid-run `ArchState` finishes at that digest
-//!    too (the architectural outcome is mode-independent).
+//!    too (the architectural outcome is mode-independent). The sampled
+//!    runner's by-value handoff moves memory images instead of copying
+//!    them and resumes bit-identically to the borrowed one.
 
 use mmt_isa::reg::NUM_REGS;
 use mmt_isa::MemSharing;
-use mmt_sim::snapshot::{ArchState, MemArch};
+use mmt_sim::snapshot::{ArchState, Fnv, MemArch};
 use mmt_sim::{Ffwd, MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
 use mmt_workloads::{all_apps, app_by_name, WorkloadInstance};
 use proptest::prelude::*;
@@ -188,7 +190,7 @@ fn resume_from_json_archstate_converges_architecturally() {
             ArchState::from_json(&snapshot.to_json()).expect("snapshot JSON parses back");
         assert_eq!(snapshot, restored, "{name}: JSON round-trip");
 
-        let resumed = Simulator::from_arch(cfg_for(threads), program, &restored)
+        let resumed = Simulator::from_arch(cfg_for(threads), program, restored)
             .expect("resume accepts the snapshot");
         let (_, arch) = run_stepped(resumed);
         assert_eq!(
@@ -215,7 +217,7 @@ fn ffwd_prefix_then_detailed_tail_converges() {
     let mut state = spec.initial_arch_state();
     ffwd.advance(&spec.program, &mut state, 2_000)
         .expect("prefix executes");
-    let tail = Simulator::from_arch(cfg_for(threads), spec.program.clone(), &state)
+    let tail = Simulator::from_arch(cfg_for(threads), spec.program.clone(), state)
         .expect("handoff accepted");
     let (_, arch) = run_stepped(tail);
     assert_eq!(
@@ -223,6 +225,80 @@ fn ffwd_prefix_then_detailed_tail_converges() {
         golden.digest(),
         "ffwd prefix + detailed tail diverged from all-detailed run"
     );
+}
+
+/// `(app, threads, from_arch digest, from_arch_warmed digest)` of a run
+/// resumed at [`CKPT_CYCLE`], captured with the borrowed handoff
+/// (`from_arch(&state)`, `from_arch_warmed(&state, into_hierarchy())`)
+/// the by-value one replaced. fft and canneal share one memory, ammp and
+/// mcf run one per thread.
+const HANDOFF_GOLDENS: &[(&str, usize, u64, u64)] = &[
+    ("fft", 2, 0x8a25e0eb5fd2a9a4, 0x30a5ff158bd1c4d9),
+    ("ammp", 2, 0x9c92a7fd74616fa5, 0x5dd27df03a9c5bec),
+    ("canneal", 4, 0x2d7ecd1858488440, 0x8ef9c6554d80cb8a),
+    ("mcf", 4, 0x585875dd9d438a5f, 0x8d86c682adde7af0),
+];
+
+/// FNV-1a over a finished run's statistics, final registers and final
+/// architectural digest.
+fn run_digest(sim: Simulator) -> u64 {
+    let (r, arch) = run_stepped(sim);
+    let mut h = Fnv::new();
+    h.put_bytes(format!("{:?} {:?}", r.stats, r.final_regs).as_bytes());
+    h.put_u64(arch.digest());
+    h.finish()
+}
+
+/// Contract 3d: the by-value handoff the sampled runner uses. Ending a
+/// window with `into_arch_warmed` yields exactly `arch_state()`; handing
+/// that state back through `from_arch_warmed` moves every memory image
+/// (same allocation out again, so nothing was copied); and runs resumed
+/// through either restore entry point finish bit-identically to the
+/// borrowed handoff's goldens.
+#[test]
+fn by_value_handoff_moves_memories_and_matches_goldens() {
+    let images = |s: &ArchState| -> Vec<*const u64> {
+        s.memories.iter().map(|m| m.words.as_ptr()).collect()
+    };
+    for &(name, threads, cold_want, warm_want) in HANDOFF_GOLDENS {
+        let app = app_by_name(name).expect("known app");
+        let spec = to_spec(app.instance(threads, SCALE));
+        let program = spec.program.clone();
+        let mut sim = Simulator::new(cfg_for(threads), spec).expect("valid spec");
+        while sim.now() < CKPT_CYCLE {
+            step_one(&mut sim);
+        }
+        assert!(!sim.finished(), "{name}: checkpoint must fall mid-run");
+        let borrowed = sim.arch_state();
+        let (state, hierarchy) = sim.into_arch_warmed();
+        assert_eq!(state, borrowed, "{name}: moved state != arch_state()");
+
+        assert!(
+            state.memories.iter().all(|m| !m.words.is_empty()),
+            "{name}: the image check needs backed memories"
+        );
+        let moved = images(&state);
+        let resumed =
+            Simulator::from_arch_warmed(cfg_for(threads), program.clone(), state, hierarchy)
+                .expect("handoff accepted");
+        let (state, hierarchy) = resumed.into_arch_warmed();
+        assert_eq!(images(&state), moved, "{name}: a memory image was copied");
+
+        let warm = Simulator::from_arch_warmed(cfg_for(threads), program.clone(), state, hierarchy)
+            .expect("handoff accepted");
+        let cold =
+            Simulator::from_arch(cfg_for(threads), program, borrowed).expect("handoff accepted");
+        assert_eq!(
+            run_digest(cold),
+            cold_want,
+            "{name} @ {threads}t: from_arch"
+        );
+        assert_eq!(
+            run_digest(warm),
+            warm_want,
+            "{name} @ {threads}t: from_arch_warmed"
+        );
+    }
 }
 
 fn arbitrary_state() -> impl Strategy<Value = ArchState> {
@@ -331,6 +407,6 @@ fn arch_state_carries_warm_predictor_state() {
     assert!(state.lvip.is_some(), "detailed capture includes LVIP");
 
     let resumed =
-        Simulator::from_arch(cfg_for(threads), spec.program, &state).expect("resume accepted");
+        Simulator::from_arch(cfg_for(threads), spec.program, state).expect("resume accepted");
     assert_eq!(resumed.arch_state().rst.unwrap(), rst);
 }
