@@ -48,7 +48,6 @@ const CHECKPOINT_EVERY: u64 = 50_000;
 type Row = ([f64; 4], Vec<RunTelemetry>);
 
 /// The `--resume-dir` cache entry for one app row.
-#[derive(serde::Serialize)]
 struct CachedRow {
     f: f64,
     fx: f64,
@@ -56,9 +55,9 @@ struct CachedRow {
     limit: f64,
     runs: Vec<RunTelemetry>,
 }
+mmt_obs::impl_to_json! { CachedRow { f, fx, fxr, limit, runs } }
 
-/// Rebuild a row from its cache entry (the vendored serde has no
-/// deserializer; resume caches read back through `mmt_obs::json`).
+/// Rebuild a row from its cache entry.
 fn row_from_cache(v: &mmt_obs::json::Value) -> Option<Row> {
     let spd = [
         v.get("f")?.as_f64()?,

@@ -52,7 +52,7 @@ use std::time::Instant;
 /// How often (in cycles) injected runs re-run the invariant audit.
 const VALIDATE_EVERY: u64 = 4096;
 
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 struct FaultRecord {
     app: String,
     threads: usize,
@@ -66,8 +66,9 @@ struct FaultRecord {
     /// The detector's message (empty for masked outcomes).
     message: String,
 }
+mmt_obs::impl_to_json! { FaultRecord { app, threads, unit, target, cycle, outcome, message } }
 
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 struct FaultReport {
     figure: String,
     seed: u64,
@@ -80,6 +81,12 @@ struct FaultReport {
     masked: usize,
     silent: usize,
     records: Vec<FaultRecord>,
+}
+mmt_obs::impl_to_json! {
+    FaultReport {
+        figure, seed, scale, injections, detected_error, detected_invariant, detected_oracle,
+        detected_digest, masked, silent, records
+    }
 }
 
 /// One configuration's ledger/exit-policy view: silent corruptions are

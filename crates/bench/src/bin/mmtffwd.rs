@@ -58,7 +58,6 @@ const MERGE_ABS_ERR_BOUND: f64 = 0.25;
 /// full-detail golden, per app (gate 3).
 const SPEEDUP_REL_ERR_BOUND: f64 = 0.15;
 
-#[derive(serde::Serialize)]
 struct DigestRow {
     app: &'static str,
     threads: usize,
@@ -66,8 +65,8 @@ struct DigestRow {
     matched: bool,
     ffwd_minsts_per_sec: f64,
 }
+mmt_obs::impl_to_json! { DigestRow { app, threads, insts, matched, ffwd_minsts_per_sec } }
 
-#[derive(serde::Serialize)]
 struct SampleRow {
     app: &'static str,
     golden_cycles: u64,
@@ -83,13 +82,23 @@ struct SampleRow {
     detailed_fraction: f64,
     pass: bool,
 }
+mmt_obs::impl_to_json! {
+    SampleRow {
+        app, golden_cycles, est_cycles, cycles_rel_err, golden_merge, est_merge, merge_abs_err,
+        golden_speedup, est_speedup, speedup_rel_err, windows, detailed_fraction, pass
+    }
+}
 
-#[derive(serde::Serialize)]
 struct ThroughputRep {
     detailed_wall_ms: f64,
     ffwd_wall_ms: f64,
     ratio: f64,
     ffwd_minsts_per_sec: f64,
+}
+mmt_obs::impl_to_json! {
+    ThroughputRep {
+        detailed_wall_ms, ffwd_wall_ms, ratio, ffwd_minsts_per_sec
+    }
 }
 
 /// One ledger/exit-policy row: a digest case, a sampling case, or the
@@ -116,7 +125,6 @@ impl GateRow for FfwdCase {
     }
 }
 
-#[derive(serde::Serialize)]
 struct FfwdReport {
     figure: String,
     scale: u64,
@@ -134,6 +142,13 @@ struct FfwdReport {
     throughput: Vec<ThroughputRep>,
     digest: Vec<DigestRow>,
     sampling: Vec<SampleRow>,
+}
+mmt_obs::impl_to_json! {
+    FfwdReport {
+        figure, scale, jobs, speed_ratio, speed_ratio_floor, ffwd_minsts_per_sec,
+        cycles_rel_err_bound, merge_abs_err_bound, speedup_rel_err_bound, worst_cycles_rel_err,
+        worst_merge_abs_err, worst_speedup_rel_err, pass, throughput, digest, sampling
+    }
 }
 
 /// Detailed run driven cycle-by-cycle so the final architectural digest

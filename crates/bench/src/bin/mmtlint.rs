@@ -37,15 +37,14 @@ enum Format {
     Json,
 }
 
-#[derive(serde::Serialize)]
 struct LintJson {
     pc: Option<u64>,
     kind: String,
     severity: String,
     message: String,
 }
+mmt_obs::impl_to_json! { LintJson { pc, kind, severity, message } }
 
-#[derive(serde::Serialize)]
 struct ProgramJson {
     name: String,
     sharing: String,
@@ -55,6 +54,11 @@ struct ProgramJson {
     must_split: usize,
     errors: usize,
     lints: Vec<LintJson>,
+}
+mmt_obs::impl_to_json! {
+    ProgramJson {
+        name, sharing, instructions, must_merge, may_merge, must_split, errors, lints
+    }
 }
 
 fn main() {
@@ -128,10 +132,7 @@ fn main() {
 /// status: 1 when any program had error-severity findings, else 0.
 fn finish(format: Format, programs: &[ProgramJson], failed: bool) -> ! {
     if format == Format::Json {
-        println!(
-            "{}",
-            serde_json::to_string(&programs).expect("stub serializer is infallible")
-        );
+        println!("{}", mmt_obs::json::to_json(programs));
     }
     std::process::exit(if failed { 1 } else { 0 });
 }

@@ -58,7 +58,7 @@ use std::collections::{BTreeSet, HashMap};
 /// this means the interleaving livelocked — itself a reportable failure.
 const STEP_BUDGET: u64 = 100_000_000;
 
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 struct MemRow {
     app: String,
     threads: usize,
@@ -80,6 +80,14 @@ struct MemRow {
     sim_cycles: u64,
     soundness_violations: Vec<String>,
 }
+mmt_obs::impl_to_json! {
+    MemRow {
+        app, threads, sharing, accesses, invariant, tid_private, shared, static_races,
+        static_race_errors, lvip_predictable, mem_merged, mem_addr_diverged, lvip_lookups,
+        lvip_hits, lvip_misses, dynamic_conflict_pairs, functional_steps, sim_cycles,
+        soundness_violations
+    }
+}
 
 impl GateRow for MemRow {
     fn app(&self) -> &str {
@@ -96,11 +104,12 @@ impl GateRow for MemRow {
     }
 }
 
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 struct MemReport {
     scale: u64,
     rows: Vec<MemRow>,
 }
+mmt_obs::impl_to_json! { MemReport { scale, rows } }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -37,7 +37,7 @@ use mmt_bench::to_run_spec;
 use mmt_sim::{MmtLevel, SimConfig, Simulator};
 use mmt_workloads::App;
 
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 struct PredictRow {
     app: String,
     threads: usize,
@@ -63,6 +63,14 @@ struct PredictRow {
     coverage_gap_split_pcs: usize,
     coverage_gap_unmerged_pcs: usize,
 }
+mmt_obs::impl_to_json! {
+    PredictRow {
+        app, threads, reachable_insts, must_merge, may_merge, must_split, divergent_branches,
+        functions, loops, merge_frac_lower, merge_frac_est, merge_frac_upper, merge_frac_measured,
+        bracket_ok, expected_split_degree, savings_lower, savings_est, savings_upper, merge_events,
+        sim_cycles, soundness_violations, coverage_gap_split_pcs, coverage_gap_unmerged_pcs
+    }
+}
 
 impl GateRow for PredictRow {
     fn app(&self) -> &str {
@@ -79,11 +87,12 @@ impl GateRow for PredictRow {
     }
 }
 
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 struct PredictReport {
     scale: u64,
     rows: Vec<PredictRow>,
 }
+mmt_obs::impl_to_json! { PredictReport { scale, rows } }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

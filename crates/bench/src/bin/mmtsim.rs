@@ -45,7 +45,7 @@ use mmt_bench::cli::{fail_run, fail_usage, format_json_arg, scale_arg};
 use mmt_bench::sample::{run_sampled, run_sampled_profiled, SampleConfig};
 use mmt_bench::{arg_value, to_run_spec, FULL_SCALE};
 use mmt_energy::EnergyModel;
-use mmt_obs::json::ObjectWriter;
+use mmt_obs::json::{ObjectWriter, ToJson};
 use mmt_obs::MetricsSnapshot;
 use mmt_sim::config::SyncPolicy;
 use mmt_sim::snapshot::{self, ArchState};
@@ -137,22 +137,13 @@ fn main() {
 
 /// One machine-readable result line, via the escaping-correct writer
 /// (Debug-formatted strings are *not* JSON: `é` renders as `\u{e9}`).
-fn print_json_line(
-    app: &str,
-    level: &str,
-    threads: usize,
-    key: &str,
-    payload: &impl serde::Serialize,
-) {
+fn print_json_line(app: &str, level: &str, threads: usize, key: &str, payload: &impl ToJson) {
     let mut line = String::new();
     let mut w = ObjectWriter::new(&mut line);
     w.str("app", app)
         .str("level", level)
         .u64("threads", threads as u64)
-        .raw(
-            key,
-            &serde_json::to_string(payload).expect("payload serializes"),
-        );
+        .field(key, payload);
     w.finish();
     println!("{line}");
 }

@@ -57,7 +57,7 @@ use mmt_isa::MemSharing;
 use mmt_sim::{MmtLevel, SimConfig, Simulator};
 use mmt_workloads::App;
 
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 struct ValueRow {
     app: String,
     threads: usize,
@@ -84,6 +84,15 @@ struct ValueRow {
     sim_cycles: u64,
     soundness_violations: Vec<String>,
 }
+mmt_obs::impl_to_json! {
+    ValueRow {
+        app, threads, sharing, identical_memories, reachable_insts, identical_results,
+        affine_results, thread_dependent_results, top_results, never_merge_pcs,
+        guaranteed_merge_pcs, identical_value_loads, lvip_predictable, lvip_value_identical,
+        guaranteed_merge_frac, ideal_merge_frac, merge_frac_measured, savings_est, checked_pcs,
+        exec_merged, exec_split, lvip_misses, sim_cycles, soundness_violations
+    }
+}
 
 impl GateRow for ValueRow {
     fn app(&self) -> &str {
@@ -100,11 +109,12 @@ impl GateRow for ValueRow {
     }
 }
 
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 struct ValueReport {
     scale: u64,
     rows: Vec<ValueRow>,
 }
+mmt_obs::impl_to_json! { ValueReport { scale, rows } }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -53,7 +53,6 @@ const PRE_OVERHAUL_BASELINE_CPS: f64 = 140_000.0;
 /// `--check-baseline` fails.
 const REGRESSION_TOLERANCE: f64 = 0.05;
 
-#[derive(serde::Serialize)]
 struct PerfsmokeReport {
     figure: String,
     reps: usize,
@@ -67,6 +66,13 @@ struct PerfsmokeReport {
     ffwd_insts_per_sec: f64,
     ffwd_speed_ratio_vs_detailed: f64,
     runs: Vec<RunTelemetry>,
+}
+mmt_obs::impl_to_json! {
+    PerfsmokeReport {
+        figure, reps, total_cycles, total_wall_ms, sim_cycles_per_sec, baseline_sim_cycles_per_sec,
+        speedup_vs_baseline, traced_sim_cycles_per_sec, trace_overhead_fraction,
+        ffwd_insts_per_sec, ffwd_speed_ratio_vs_detailed, runs
+    }
 }
 
 /// One 2-thread + 4-thread pair of the perfsmoke workload, optionally

@@ -52,9 +52,7 @@ pub fn fail_run(json: bool, message: impl AsRef<str>) -> ! {
 
 fn fail(code: i32, json: bool, message: &str) -> ! {
     if json {
-        let mut quoted = String::new();
-        serde::Serialize::serialize_json(message, &mut quoted);
-        println!("{{\"error\":{quoted}}}");
+        println!("{{\"error\":{}}}", mmt_obs::json::escaped(message));
     }
     eprintln!("error: {message}");
     std::process::exit(code);

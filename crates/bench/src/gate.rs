@@ -35,6 +35,7 @@ use crate::arg_value;
 use crate::cli::{fail_run, fail_usage, format_json_arg, scale_arg};
 use crate::ledger::LedgerRecord;
 use crate::sweep::{jobs_arg, progress_arg, run_parallel, write_report, ProgressSink};
+use mmt_obs::json::ToJson;
 use mmt_workloads::{all_apps, app_by_name, App};
 use std::sync::Arc;
 use std::time::Instant;
@@ -184,12 +185,12 @@ pub fn status_cell(violations: &[String]) -> String {
 ///
 /// `started` is the instant the bin began, so the ledger's wall-clock
 /// covers the whole invocation, not just the epilogue.
-pub fn finish_gate<R: GateRow, T: serde::Serialize>(
+pub fn finish_gate<R: GateRow>(
     tool: &str,
     report_name: &str,
     spec: &GateSpec,
     started: Instant,
-    report: &T,
+    report: &impl ToJson,
     rows: &[R],
 ) -> ! {
     let mut violations = 0usize;

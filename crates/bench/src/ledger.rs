@@ -12,7 +12,7 @@
 //! one parsed line (used by the schema test over the committed ledger),
 //! and [`read`] parses a whole file line by line.
 
-use mmt_obs::json::{self, ObjectWriter, Value};
+use mmt_obs::json::{self, Value};
 use std::path::{Path, PathBuf};
 
 /// Where the ledger lives, relative to the repo root.
@@ -43,6 +43,12 @@ pub struct LedgerRecord {
     pub gate: String,
     /// Soundness violations / regressions the gate counted.
     pub violations: u64,
+}
+mmt_obs::impl_to_json! {
+    LedgerRecord {
+        tool, git_rev, config_digest, apps, threads, scale, wall_ms, sim_cycles_per_sec, gate,
+        violations
+    }
 }
 
 impl LedgerRecord {
@@ -79,21 +85,7 @@ impl LedgerRecord {
 
     /// The record as one JSONL line (trailing newline included).
     pub fn to_json_line(&self) -> String {
-        let mut line = String::with_capacity(192);
-        let mut w = ObjectWriter::new(&mut line);
-        w.str("tool", &self.tool)
-            .str("git_rev", &self.git_rev)
-            .str("config_digest", &self.config_digest)
-            .u64("apps", self.apps)
-            .str("threads", &self.threads)
-            .u64("scale", self.scale)
-            .f64("wall_ms", self.wall_ms)
-            .f64("sim_cycles_per_sec", self.sim_cycles_per_sec)
-            .str("gate", &self.gate)
-            .u64("violations", self.violations);
-        w.finish();
-        line.push('\n');
-        line
+        json::to_json(self) + "\n"
     }
 
     /// Append to [`LEDGER_PATH`] (creating `results/` if needed).

@@ -20,7 +20,7 @@
 //! baseline) to every gate bin.
 
 use crate::ledger::{self, LedgerRecord};
-use mmt_obs::json::{self, ObjectWriter, Value};
+use mmt_obs::json::{self, ObjectWriter, ToJson, Value};
 use std::path::{Path, PathBuf};
 
 /// Latest throughput below this fraction of the previous comparable
@@ -128,44 +128,32 @@ impl Report {
     /// The report as a JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\"tools\":[");
-        for (i, t) in self.tools.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let mut w = ObjectWriter::new(&mut out);
-            w.str("tool", &t.tool)
-                .u64("runs", t.runs as u64)
-                .str("gate", &t.latest.gate)
-                .str("git_rev", &t.latest.git_rev)
-                .f64("wall_ms", t.latest.wall_ms)
-                .f64("sim_cycles_per_sec", t.latest.sim_cycles_per_sec);
-            match t.prev_cps {
-                Some(p) => w.f64("prev_cps", p),
-                None => w.raw("prev_cps", "null"),
-            };
-            match t.delta_pct {
-                Some(d) => w.f64("delta_pct", d),
-                None => w.raw("delta_pct", "null"),
-            };
-            w.str("sparkline", &t.sparkline)
-                .str("verdict", &t.verdict)
-                .bool("ok", t.ok);
-            w.finish();
-        }
-        out.push_str("],\"bench_issues\":[");
-        for (i, issue) in self.bench_issues.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            json::push_escaped(&mut out, issue);
-            out.push('"');
-        }
-        out.push_str("],\"ok\":");
-        out.push_str(if self.ok() { "true" } else { "false" });
-        out.push('}');
+        let mut w = ObjectWriter::new(&mut out);
+        w.field("tools", &self.tools)
+            .field("bench_issues", &self.bench_issues)
+            .bool("ok", self.ok());
+        w.finish();
         out
+    }
+}
+
+/// One tool's trend as a `tools[]` entry of [`Report::to_json`], with
+/// the latest record's gate, revision and timing inlined.
+impl ToJson for ToolTrend {
+    fn write_json(&self, out: &mut String) {
+        let mut w = ObjectWriter::new(out);
+        w.str("tool", &self.tool)
+            .field("runs", &self.runs)
+            .str("gate", &self.latest.gate)
+            .str("git_rev", &self.latest.git_rev)
+            .f64("wall_ms", self.latest.wall_ms)
+            .f64("sim_cycles_per_sec", self.latest.sim_cycles_per_sec)
+            .field("prev_cps", &self.prev_cps)
+            .field("delta_pct", &self.delta_pct)
+            .str("sparkline", &self.sparkline)
+            .str("verdict", &self.verdict)
+            .bool("ok", self.ok);
+        w.finish();
     }
 }
 
@@ -427,6 +415,9 @@ mod tests {
         assert_eq!(report.tools[0].verdict, "GATE FAILED");
         assert_eq!(report.bench_issues.len(), 2, "{:?}", report.bench_issues);
         assert!(!report.ok());
+        let v = json::parse(&report.to_json()).expect("valid JSON with issues");
+        let issues = v.get("bench_issues").unwrap().as_array().unwrap();
+        assert_eq!(issues[0].as_str(), Some(report.bench_issues[0].as_str()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

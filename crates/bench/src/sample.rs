@@ -45,7 +45,7 @@ use std::time::Instant;
 
 /// Sampling schedule, in *instructions* (summed over threads — the same
 /// clock [`Simulator::instructions_fetched`] reports).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SampleConfig {
     /// Instructions fast-forwarded between detailed windows.
     pub skip: u64,
@@ -58,6 +58,7 @@ pub struct SampleConfig {
     /// fast-forwarded once the cap is hit, keeping totals exact.
     pub max_windows: usize,
 }
+mmt_obs::impl_to_json! { SampleConfig { skip, warmup, measure, max_windows } }
 
 impl Default for SampleConfig {
     fn default() -> Self {
@@ -71,7 +72,7 @@ impl Default for SampleConfig {
 }
 
 /// One measured detailed window.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WindowStat {
     /// Global instruction index at which measurement started.
     pub start_inst: u64,
@@ -87,6 +88,11 @@ pub struct WindowStat {
     /// All thread-instruction slots fetched during the window.
     pub total_slots: u64,
 }
+mmt_obs::impl_to_json! {
+    WindowStat {
+        start_inst, stratum_insts, insts, cycles, merge_slots, total_slots
+    }
+}
 
 impl WindowStat {
     /// Cycles per instruction inside this window.
@@ -96,7 +102,7 @@ impl WindowStat {
 }
 
 /// Aggregated result of one sampled run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SampledEstimate {
     /// Exact architectural instruction total (every instruction ran in
     /// one of the two modes).
@@ -121,6 +127,12 @@ pub struct SampledEstimate {
     pub merge_fraction: f64,
     /// Per-window detail, in schedule order.
     pub windows: Vec<WindowStat>,
+}
+mmt_obs::impl_to_json! {
+    SampledEstimate {
+        total_insts, measured_insts, measured_cycles, detailed_insts, est_cpi, cpi_stderr,
+        est_cycles, cycles_err, merge_fraction, windows
+    }
 }
 
 impl SampledEstimate {

@@ -23,6 +23,7 @@
 //! (`--resume-dir`) and still produces byte-identical canonical output.
 
 use crate::retry::RetryPolicy;
+use mmt_obs::json::{to_json, ToJson, Value};
 use mmt_sim::{SimError, SimResult, SimStats, Simulator, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -106,15 +107,15 @@ impl FailureKind {
     }
 }
 
-impl serde::Serialize for FailureKind {
-    fn serialize_json(&self, out: &mut String) {
-        self.name().serialize_json(out);
+impl ToJson for FailureKind {
+    fn write_json(&self, out: &mut String) {
+        self.name().write_json(out);
     }
 }
 
 /// A grid point that failed supervision: recorded in the BENCH report
 /// instead of aborting the sweep's sibling points.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct PointFailure {
     /// Which grid point failed (same namespace as [`RunTelemetry::label`]).
     pub label: String,
@@ -125,6 +126,7 @@ pub struct PointFailure {
     /// How many attempts were made before giving up.
     pub attempts: u32,
 }
+mmt_obs::impl_to_json! { PointFailure { label, kind, message, attempts } }
 
 impl PointFailure {
     /// Copy with the (wall-clock-noise-dependent) attempt count zeroed —
@@ -491,7 +493,7 @@ pub fn timed_run(
 }
 
 /// Telemetry for one simulation inside a sweep.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunTelemetry {
     /// Which grid point this run was (app/level/knob value).
     pub label: String,
@@ -508,6 +510,12 @@ pub struct RunTelemetry {
     pub peak_live_uops: u64,
     /// Scratch-buffer heap growth events (0 after warmup).
     pub scratch_growth_events: u64,
+}
+mmt_obs::impl_to_json! {
+    RunTelemetry {
+        label, cycles, wall_ms, sim_cycles_per_sec, peak_uop_arena, peak_live_uops,
+        scratch_growth_events
+    }
 }
 
 impl RunTelemetry {
@@ -535,10 +543,9 @@ impl RunTelemetry {
         }
     }
 
-    /// Rebuild telemetry from its own JSON serialization (the vendored
-    /// serde has no derived deserializer, so resume caches read back
-    /// through `mmt_obs::json`). Returns `None` on any missing field.
-    pub fn from_json(v: &mmt_obs::json::Value) -> Option<RunTelemetry> {
+    /// Rebuild telemetry from its JSON form, as a resume cache stores
+    /// it. Returns `None` on any missing field.
+    pub fn from_json(v: &Value) -> Option<RunTelemetry> {
         Some(RunTelemetry {
             label: v.get("label")?.as_str()?.to_string(),
             cycles: v.get("cycles")?.as_f64()? as u64,
@@ -552,7 +559,7 @@ impl RunTelemetry {
 }
 
 /// The machine-readable record one sweep emits.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Figure/sweep name (`BENCH_<figure>.json`).
     pub figure: String,
@@ -565,6 +572,7 @@ pub struct BenchReport {
     /// Grid points that failed supervision (empty on a clean sweep).
     pub failures: Vec<PointFailure>,
 }
+mmt_obs::impl_to_json! { BenchReport { figure, jobs, total_wall_ms, runs, failures } }
 
 impl BenchReport {
     /// Assemble a report from a finished sweep.
@@ -604,7 +612,7 @@ impl BenchReport {
                 .map(PointFailure::without_attempts)
                 .collect(),
         };
-        serde_json::to_string(&canon).expect("stub serializer is infallible")
+        to_json(&canon)
     }
 
     /// Write `results/BENCH_<figure>.json`, creating `results/` if
@@ -674,14 +682,13 @@ impl ResumeDir {
     /// Load a cached point, if a complete cache entry exists. Corrupt
     /// entries (torn writes cannot happen, but disks can lie) are
     /// treated as absent so the point simply re-runs.
-    pub fn load(&self, label: &str) -> Option<mmt_obs::json::Value> {
+    pub fn load(&self, label: &str) -> Option<Value> {
         mmt_obs::json::parse_file(self.point_path(label)).ok()
     }
 
     /// Atomically persist a completed point (temp file + rename).
-    pub fn store<T: serde::Serialize>(&self, label: &str, point: &T) -> std::io::Result<()> {
-        let json = serde_json::to_string(point).expect("stub serializer is infallible");
-        self.write_atomic(&self.point_path(label), &(json + "\n"))
+    pub fn store(&self, label: &str, point: &impl ToJson) -> std::io::Result<()> {
+        self.write_atomic(&self.point_path(label), &(to_json(point) + "\n"))
     }
 
     /// Step a simulation to completion, atomically rewriting
@@ -720,12 +727,11 @@ impl ResumeDir {
 
 /// Serialize any report to `results/BENCH_<name>.json` (shared by the
 /// sweep reports and `perfsmoke`'s custom shape).
-pub fn write_report<T: serde::Serialize>(name: &str, report: &T) -> std::io::Result<PathBuf> {
+pub fn write_report(name: &str, report: &impl ToJson) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("BENCH_{name}.json"));
-    let json = serde_json::to_string(report).expect("stub serializer is infallible");
-    std::fs::write(&path, json + "\n")?;
+    std::fs::write(&path, to_json(report) + "\n")?;
     Ok(path)
 }
 

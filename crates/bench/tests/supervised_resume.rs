@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 /// noise-derived field, then re-serialize deterministically (object
 /// keys are sorted by the parser's BTreeMap).
 fn canonicalize(v: &Value) -> String {
-    fn walk(v: &Value, key: &str, out: &mut String) {
+    fn zero_noise(v: &mut Value) {
         const NOISY: [&str; 5] = [
             "jobs",
             "total_wall_ms",
@@ -27,42 +27,22 @@ fn canonicalize(v: &Value) -> String {
             "attempts",
         ];
         match v {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => {
-                if NOISY.contains(&key) {
-                    out.push('0');
-                } else {
-                    out.push_str(&n.to_string());
-                }
-            }
-            Value::String(s) => out.push_str(&format!("{s:?}")),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    walk(item, key, out);
-                }
-                out.push(']');
-            }
+            Value::Array(items) => items.iter_mut().for_each(zero_noise),
             Value::Object(map) => {
-                out.push('{');
-                for (i, (k, item)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
+                for (k, item) in map.iter_mut() {
+                    if NOISY.contains(&k.as_str()) {
+                        *item = Value::Number(0.0);
+                    } else {
+                        zero_noise(item);
                     }
-                    out.push_str(&format!("{k:?}:"));
-                    walk(item, k, out);
                 }
-                out.push('}');
             }
+            _ => {}
         }
     }
-    let mut out = String::new();
-    walk(v, "", &mut out);
-    out
+    let mut v = v.clone();
+    zero_noise(&mut v);
+    v.to_json()
 }
 
 fn fig5_cmd(dir: &Path) -> Command {

@@ -14,7 +14,6 @@ pub const REMERGE_BUCKETS: [u64; 7] = [16, 32, 64, 128, 256, 512, u64::MAX];
 /// Counts of dynamic thread-instructions by the fetch mode they were
 /// fetched in (Figure 5(d)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FetchModeCounts {
     /// Fetched while merged with at least one other thread.
     pub merge: u64,
@@ -23,6 +22,7 @@ pub struct FetchModeCounts {
     /// Fetched in CATCHUP mode (either side of the catch-up).
     pub catchup: u64,
 }
+mmt_obs::impl_to_json! { FetchModeCounts { merge, detect, catchup } }
 
 impl FetchModeCounts {
     /// Total thread-instructions fetched.
@@ -53,7 +53,6 @@ impl FetchModeCounts {
 /// Instruction-identity classification of executed thread-instructions
 /// (Figure 5(b)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdentityCounts {
     /// Thread-instructions fetched with a multi-thread ITID but executed
     /// as separate instructions (fetch-identical only).
@@ -66,6 +65,11 @@ pub struct IdentityCounts {
     pub execute_identical_regmerge: u64,
     /// Thread-instructions fetched alone (not identical).
     pub private: u64,
+}
+mmt_obs::impl_to_json! {
+    IdentityCounts {
+        fetch_identical, execute_identical, execute_identical_regmerge, private
+    }
 }
 
 impl IdentityCounts {
@@ -86,7 +90,6 @@ impl IdentityCounts {
 /// The static predictor compares these against its per-PC merge
 /// classification in `mmtpredict`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PcCounters {
     /// Thread-instruction slots fetched at this PC while merged.
     pub fetch_merge: u64,
@@ -119,6 +122,12 @@ pub struct PcCounters {
     /// address-invariant PC must keep this at zero — the `mmtmem`
     /// differential gate checks exactly that.
     pub mem_addr_diverged: u64,
+}
+mmt_obs::impl_to_json! {
+    PcCounters {
+        fetch_merge, fetch_detect, fetch_catchup, exec_merged, exec_split, exec_private,
+        lvip_lookups, lvip_hits, lvip_misses, mem_merged, mem_addr_diverged
+    }
 }
 
 impl PcCounters {
@@ -155,7 +164,6 @@ impl PcCounters {
 
 /// Event counters consumed by the energy model (`mmt-energy`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyEvents {
     /// Cycles simulated (clock tree + leakage).
     pub cycles: u64,
@@ -192,10 +200,16 @@ pub struct EnergyEvents {
     /// through the filter/chooser).
     pub split_evals: u64,
 }
+mmt_obs::impl_to_json! {
+    EnergyEvents {
+        cycles, icache_accesses, dcache_accesses, l2_accesses, dram_accesses, renames, executions,
+        regfile_reads, regfile_writes, commits, bpred_accesses, fhb_ops, rst_updates, lvip_lookups,
+        merge_checks, split_evals
+    }
+}
 
 /// Complete statistics from one simulation run.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimStats {
     /// Total cycles to finish every thread.
     pub cycles: u64,
@@ -251,6 +265,14 @@ pub struct SimStats {
     /// unless [`crate::SimConfig::record_pc_profile`] is set (it costs a
     /// program-sized allocation plus a counter bump per slot).
     pub pc_profile: Vec<PcCounters>,
+}
+mmt_obs::impl_to_json! {
+    SimStats {
+        cycles, retired_per_thread, macro_ops_fetched, uops_dispatched, uops_executed, fetch_modes,
+        identity, branches, branch_mispredicts, lvip_lookups, lvip_mispredicts, divergences,
+        remerges, catchup_false_positives, remerge_branch_histogram, peak_live_uops,
+        peak_uop_arena, scratch_growth_events, l1i, l1d, l2, energy, pc_profile
+    }
 }
 
 impl SimStats {

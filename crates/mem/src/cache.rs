@@ -54,7 +54,6 @@ impl CacheConfig {
 
 /// Hit/miss counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Total accesses (reads + writes).
     pub accesses: u64,
@@ -63,6 +62,7 @@ pub struct CacheStats {
     /// Accesses that missed.
     pub misses: u64,
 }
+mmt_obs::impl_to_json! { CacheStats { accesses, hits, misses } }
 
 impl CacheStats {
     /// Miss ratio in `[0, 1]`; zero when no accesses occurred.

@@ -1,17 +1,16 @@
-//! A minimal JSON reader *and* writer.
+//! The workspace's one JSON reader *and* writer.
 //!
-//! The workspace vendors a serializer-only `serde_json` stub (offline
-//! containers, no registry), so trace validation and baseline reading
-//! need their own reader. This parses the full JSON grammar into a
-//! [`Value`] tree; it favors clear errors over speed and is used only on
-//! tool/test paths, never in the cycle loop.
+//! The read side parses the full JSON grammar into a [`Value`] tree; it
+//! favors clear errors over speed and is used only on tool/test paths,
+//! never in the cycle loop.
 //!
-//! The write side ([`push_escaped`], [`ObjectWriter`],
-//! [`Value::to_json`]) is the one escaping-correct serializer every
-//! hand-rolled JSON line in the workspace routes through. Bins used to
-//! format strings with `{:?}` — Rust's `Debug` escapes non-ASCII as
-//! `\u{e9}`, which is *invalid* JSON — so string emission lives here
-//! once, with regression tests, instead of per-binary.
+//! The write side ([`push_escaped`], [`ObjectWriter`], [`ToJson`] and
+//! the [`impl_to_json!`](crate::impl_to_json) macro) is the one
+//! escaping-correct serializer every report, trace and hand-rolled JSON
+//! line in the workspace routes through. Bins used to format strings
+//! with `{:?}` — Rust's `Debug` escapes non-ASCII as `\u{e9}`, which is
+//! *invalid* JSON — so string emission lives here once, with regression
+//! tests, instead of per-binary.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -192,6 +191,139 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
+/// A type that serializes itself as compact JSON. Implemented for the
+/// integers, `bool`, `f64`, strings, references, `Option`, sequences
+/// and [`Value`]; report structs implement it with
+/// [`impl_to_json!`](crate::impl_to_json).
+pub trait ToJson {
+    /// Append this value to `out` as compact JSON.
+    fn write_json(&self, out: &mut String);
+}
+
+/// Serialize `value` as compact JSON text.
+pub fn to_json<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
+}
+
+macro_rules! to_json_via_display {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = std::fmt::Write::write_fmt(out, format_args!("{self}"));
+            }
+        }
+    )*};
+}
+
+to_json_via_display!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, bool);
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        push_f64(out, *self);
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+impl ToJson for Value {
+    fn write_json(&self, out: &mut String) {
+        Value::write_json(self, out);
+    }
+}
+
+/// Implement [`ToJson`](crate::json::ToJson) for a named-field struct as
+/// a JSON object with one member per listed field, in list order:
+///
+/// ```
+/// struct Point {
+///     x: u64,
+///     label: String,
+/// }
+/// mmt_obs::impl_to_json! { Point { x, label } }
+///
+/// let p = Point { x: 1, label: "a".into() };
+/// assert_eq!(mmt_obs::json::to_json(&p), r#"{"x":1,"label":"a"}"#);
+/// ```
+///
+/// The impl destructures the struct without `..`, so a field the list
+/// leaves out (or misspells) is a compile error:
+///
+/// ```compile_fail
+/// struct Point {
+///     x: u64,
+///     y: u64,
+/// }
+/// mmt_obs::impl_to_json! { Point { x } }
+/// ```
+///
+/// List the fields in declaration order: that order is the byte format
+/// of every report.
+#[macro_export]
+macro_rules! impl_to_json {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn write_json(&self, out: &mut ::std::string::String) {
+                let $ty { $($field),* } = self;
+                let mut w = $crate::json::ObjectWriter::new(out);
+                $(w.field(::core::stringify!($field), $field);)*
+                w.finish();
+            }
+        }
+    };
+}
+
 /// Incremental writer for one JSON object: handles comma placement and
 /// string escaping so call sites only name keys and values. The shared
 /// primitive behind every hand-rolled JSON line in the bench bins.
@@ -218,32 +350,31 @@ impl<'a> ObjectWriter<'a> {
         self.out
     }
 
+    /// Write a field of any [`ToJson`] value.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, val: &T) -> &mut Self {
+        let out = self.key(key);
+        val.write_json(out);
+        self
+    }
+
     /// Write a string field (escaped).
     pub fn str(&mut self, key: &str, val: &str) -> &mut Self {
-        let out = self.key(key);
-        push_escaped(out, val);
-        self
+        self.field(key, val)
     }
 
     /// Write an unsigned integer field.
     pub fn u64(&mut self, key: &str, val: u64) -> &mut Self {
-        let out = self.key(key);
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{val}"));
-        self
+        self.field(key, &val)
     }
 
     /// Write a float field (`null` for non-finite values).
     pub fn f64(&mut self, key: &str, val: f64) -> &mut Self {
-        let out = self.key(key);
-        push_f64(out, val);
-        self
+        self.field(key, &val)
     }
 
     /// Write a boolean field.
     pub fn bool(&mut self, key: &str, val: bool) -> &mut Self {
-        let out = self.key(key);
-        out.push_str(if val { "true" } else { "false" });
-        self
+        self.field(key, &val)
     }
 
     /// Write a field whose value is already-serialized JSON.
@@ -274,22 +405,11 @@ impl Value {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Number(n) => push_f64(out, *n),
             Value::String(s) => push_escaped(out, s),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write_json(out);
-                }
-                out.push(']');
-            }
+            Value::Array(items) => items.write_json(out),
             Value::Object(map) => {
                 let mut w = ObjectWriter::new(out);
                 for (k, v) in map {
-                    let mut val = String::new();
-                    v.write_json(&mut val);
-                    w.raw(k, &val);
+                    w.field(k, v);
                 }
                 w.finish();
             }
@@ -638,5 +758,114 @@ mod tests {
         // Unclosed flood (the realistic corruption shape) also errors.
         assert!(parse(&"[".repeat(100_000)).is_err());
         assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn to_json_scalars_and_sequences() {
+        assert_eq!(to_json(&5u64), "5");
+        assert_eq!(to_json(&-7i32), "-7");
+        assert_eq!(to_json(&usize::MAX), usize::MAX.to_string());
+        assert_eq!(to_json(&true), "true");
+        assert_eq!(to_json(&1.25f64), "1.25");
+        assert_eq!(to_json(&3.0f64), "3");
+        assert_eq!(to_json(&vec![1u32, 2, 3]), "[1,2,3]");
+        assert_eq!(to_json(&Vec::<u8>::new()), "[]");
+        assert_eq!(to_json(&[7u64; 2]), "[7,7]");
+        assert_eq!(to_json(&[1u8, 2][..]), "[1,2]");
+        assert_eq!(to_json(&Some(4u8)), "4");
+        assert_eq!(to_json(&None::<u8>), "null");
+        assert_eq!(to_json(&vec![Some(1u8), None]), "[1,null]");
+        assert_eq!(to_json(&&9u16), "9");
+        assert_eq!(to_json("a\"b"), "\"a\\\"b\"");
+        assert_eq!(
+            to_json(&String::from("x\u{8}\u{c}\u{1}")),
+            "\"x\\b\\f\\u0001\""
+        );
+    }
+
+    #[test]
+    fn non_finite_floats_serialize_as_null() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(to_json(&v), "null");
+        }
+        assert_eq!(to_json(&vec![1.5, f64::NAN]), "[1.5,null]");
+    }
+
+    #[test]
+    fn object_writer_places_commas_between_fields_only() {
+        let mut out = String::new();
+        ObjectWriter::new(&mut out).finish();
+        assert_eq!(out, "{}");
+
+        let mut out = String::new();
+        let mut w = ObjectWriter::new(&mut out);
+        w.field("a", &1u8);
+        w.finish();
+        assert_eq!(out, r#"{"a":1}"#);
+
+        let mut out = String::new();
+        let mut w = ObjectWriter::new(&mut out);
+        w.field("a", &1u8).field("b", "two").field("c", &[3u8]);
+        w.finish();
+        assert_eq!(out, r#"{"a":1,"b":"two","c":[3]}"#);
+    }
+
+    struct Window {
+        start: u64,
+        label: String,
+    }
+    crate::impl_to_json! { Window { start, label } }
+
+    struct Estimate {
+        zeta: u64,
+        windows: Vec<Window>,
+        note: Option<String>,
+        missing: Option<f64>,
+        alpha: f64,
+    }
+    crate::impl_to_json! { Estimate { zeta, windows, note, missing, alpha } }
+
+    #[test]
+    fn macro_structs_emit_declaration_order_and_parse_back() {
+        let est = Estimate {
+            zeta: 3,
+            windows: vec![
+                Window {
+                    start: 0,
+                    label: "w\"0".into(),
+                },
+                Window {
+                    start: 10,
+                    label: "caf\u{e9}".into(),
+                },
+            ],
+            note: Some("ok".into()),
+            missing: None,
+            alpha: 0.5,
+        };
+        let text = to_json(&est);
+        assert_eq!(
+            text,
+            r#"{"zeta":3,"windows":[{"start":0,"label":"w\"0"},{"start":10,"label":"café"}],"note":"ok","missing":null,"alpha":0.5}"#
+        );
+        let window = |start: f64, label: &str| {
+            Value::Object(BTreeMap::from([
+                ("start".to_string(), Value::Number(start)),
+                ("label".to_string(), Value::String(label.into())),
+            ]))
+        };
+        let want = Value::Object(BTreeMap::from([
+            ("zeta".to_string(), Value::Number(3.0)),
+            (
+                "windows".to_string(),
+                Value::Array(vec![window(0.0, "w\"0"), window(10.0, "caf\u{e9}")]),
+            ),
+            ("note".to_string(), Value::String("ok".into())),
+            ("missing".to_string(), Value::Null),
+            ("alpha".to_string(), Value::Number(0.5)),
+        ]));
+        assert_eq!(parse(&text).unwrap(), want);
+        // A `Value` re-serializes through the same trait.
+        assert_eq!(parse(&to_json(&want)).unwrap(), want);
     }
 }

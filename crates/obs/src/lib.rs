@@ -16,6 +16,9 @@
 //!   compact [JSONL](jsonl), and a text [timeline summary](timeline);
 //! * an offline [replay](mod@replay) that folds an event stream back into
 //!   aggregate counters for differential checking against `SimStats`.
+//! * the workspace's one [JSON](json) reader and writer, through which
+//!   every trace, metrics export and report (`BENCH_*.json`, the run
+//!   ledger, `mmtsim --format json`) is written.
 //!
 //! The crate deliberately depends only on `mmt-isa` (for the thread-count
 //! bound) so any layer of the stack can emit or consume traces.

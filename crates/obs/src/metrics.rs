@@ -21,7 +21,7 @@
 //!   format (`# HELP`/`# TYPE`, escaped label values, cumulative
 //!   histogram buckets with `+Inf`, `_sum`, `_count`).
 
-use crate::json::{push_f64, ObjectWriter};
+use crate::json::ObjectWriter;
 use std::fmt::Write as _;
 
 /// Handle to a registered monotonic counter.
@@ -432,26 +432,11 @@ impl MetricsSnapshot {
                     sum,
                     count,
                 } => {
-                    w.str("kind", "histogram");
-                    let mut b = String::from("[");
-                    for (i, v) in bounds.iter().enumerate() {
-                        if i > 0 {
-                            b.push(',');
-                        }
-                        push_f64(&mut b, *v);
-                    }
-                    b.push(']');
-                    w.raw("bounds", &b);
-                    let mut c = String::from("[");
-                    for (i, v) in counts.iter().enumerate() {
-                        if i > 0 {
-                            c.push(',');
-                        }
-                        let _ = write!(c, "{v}");
-                    }
-                    c.push(']');
-                    w.raw("counts", &c);
-                    w.f64("sum", *sum).u64("count", *count);
+                    w.str("kind", "histogram")
+                        .field("bounds", bounds)
+                        .field("counts", counts)
+                        .f64("sum", *sum)
+                        .u64("count", *count);
                 }
             }
             w.finish();
