@@ -467,7 +467,7 @@ fn print_human(app: &App, level: &str, r: &SimResult) {
         s.branch_mispredicts
     );
     println!(
-        "  LVIP {} lookups / {} rollbacks   energy {:.1} uJ ({:.2}% MMT overhead)\n",
+        "  LVIP {} lookups / {} mismatches   energy {:.1} uJ ({:.2}% MMT overhead)\n",
         s.lvip_lookups,
         s.lvip_mispredicts,
         energy.total() / 1000.0,

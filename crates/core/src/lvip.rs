@@ -52,7 +52,7 @@ impl Lvip {
     }
 
     /// The load at `pc` read different values while predicted identical:
-    /// remember it (and count the misprediction/rollback).
+    /// remember it (and count the mismatch).
     pub fn record_mismatch(&mut self, pc: u64) {
         self.entries[(pc & self.mask) as usize] = Some(pc);
         self.mispredicts += 1;
@@ -112,7 +112,10 @@ impl Lvip {
         self.lookups
     }
 
-    /// Total mispredictions (rollbacks charged by the pipeline).
+    /// Total [`Self::record_mismatch`] calls. The pipeline verifies a
+    /// merged load at every dispatch attempt, so a load stalled at the
+    /// dispatch head counts once per retry: more than the rollbacks it
+    /// charges, which happen once per dispatched load.
     pub fn mispredict_count(&self) -> u64 {
         self.mispredicts
     }

@@ -140,7 +140,7 @@ impl SimMetrics {
         c("mmt_lvip_lookups_total", "LVIP lookups", stats.lvip_lookups);
         c(
             "mmt_lvip_mispredicts_total",
-            "LVIP mispredictions (rollbacks)",
+            "LVIP mismatches, counted per dispatch attempt",
             stats.lvip_mispredicts,
         );
         c(

@@ -334,7 +334,6 @@ impl Simulator {
             obs: None,
             metrics: self.metrics.clone(),
             scratch: Scratch {
-                issued_ids: clone_keep_cap(&self.scratch.issued_ids),
                 created: clone_keep_cap(&self.scratch.created),
             },
         }

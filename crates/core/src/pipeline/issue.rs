@@ -2,7 +2,7 @@
 //! port limits, oracle-exact load/store disambiguation, and data-cache
 //! accesses.
 
-use super::{push_counted, Simulator, UopId};
+use super::{Simulator, UopId};
 use mmt_isa::{Inst, MemSharing};
 use mmt_obs::TraceEvent;
 
@@ -15,20 +15,21 @@ impl Simulator {
         let mut fpu = self.cfg.fpus;
         let mut ports = self.cfg.lsq_ports;
 
-        // Age-ordered select: the IQ vector is in dispatch order; collect
-        // issued entries and remove them afterwards so the scan order
-        // stays oldest-first. The collection buffer is recycled scratch
-        // (taken out for the loop because `execute_mem` needs `&mut self`).
-        let mut issued_ids = std::mem::take(&mut self.scratch.issued_ids);
-        issued_ids.clear();
+        // Age-ordered select over the IQ, which is in dispatch order. It
+        // compacts as it scans: entries that stay are copied down to
+        // `kept`, which trails `i` once something has issued, and the
+        // gap is closed after the loop, so the IQ stays oldest-first.
+        let mut kept = 0;
         let mut i = 0;
         while i < self.iq.len() {
             if budget == 0 {
                 break;
             }
             let id = self.iq[i];
+            i += 1;
             if !self.operands_ready(id) {
-                i += 1;
+                self.iq[kept] = id;
+                kept += 1;
                 continue;
             }
             let (class, accesses, is_mem) = {
@@ -48,7 +49,8 @@ impl Simulator {
                 alu > 0
             };
             if !ok {
-                i += 1;
+                self.iq[kept] = id;
+                kept += 1;
                 continue;
             }
 
@@ -80,15 +82,9 @@ impl Simulator {
             self.stats.energy.executions += 1;
             self.stats.energy.regfile_reads += self.uops[id].inst.sources().len() as u64;
             self.stats.uops_executed += 1;
-            push_counted(&mut issued_ids, id, &mut self.stats.scratch_growth_events);
-            i += 1;
         }
-        let issued = !issued_ids.is_empty();
-        if issued {
-            self.iq.retain(|id| !issued_ids.contains(id));
-        }
-        self.scratch.issued_ids = issued_ids;
-        issued
+        self.iq.drain(kept..i);
+        kept < i
     }
 
     /// Whether every producer of `id` has completed by now.
@@ -190,5 +186,59 @@ impl Simulator {
             }
         }
         done
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{MmtLevel, RunSpec, SimConfig, Simulator};
+    use mmt_isa::asm::Builder;
+    use mmt_isa::interp::Memory;
+    use mmt_isa::{MemSharing, Reg};
+
+    /// A simulator stepped until its IQ holds at least two entries: a
+    /// chain of loads that each wait on the previous one.
+    fn sim_with_waiting_iq() -> Simulator {
+        let mut b = Builder::new();
+        for _ in 0..16 {
+            b.ld(Reg::R1, Reg::R1, 0);
+        }
+        b.halt();
+        let spec = RunSpec {
+            program: b.build().unwrap(),
+            sharing: MemSharing::Shared,
+            memories: vec![Memory::new(0)],
+            threads: 1,
+        };
+        let mut sim = Simulator::new(SimConfig::paper_with(1, MmtLevel::Base), spec).unwrap();
+        while sim.iq.len() < 2 {
+            assert!(!sim.finished(), "the load chain never filled the IQ");
+            sim.step_cycle().unwrap();
+        }
+        sim
+    }
+
+    #[test]
+    fn validate_rejects_an_out_of_order_iq() {
+        let mut sim = sim_with_waiting_iq();
+        sim.validate().expect("a stepped pipeline validates clean");
+        sim.iq.swap(0, 1);
+        let err = sim.validate().expect_err("a swapped IQ must not validate");
+        assert!(err.contains("oldest-first"), "{err}");
+        let dup = sim.iq[1];
+        sim.iq[0] = dup;
+        let err = sim.validate().expect_err("a duplicate must not validate");
+        assert!(err.contains("oldest-first"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_an_issued_iq_entry() {
+        let mut sim = sim_with_waiting_iq();
+        let id = sim.iq[1];
+        sim.uops[id].complete_at = Some(sim.now);
+        let err = sim
+            .validate()
+            .expect_err("an issued entry must not validate");
+        assert!(err.contains("already issued"), "{err}");
     }
 }

@@ -288,14 +288,12 @@ impl Uop {
 }
 
 /// Reusable per-cycle buffers for the stages whose working sets can
-/// exceed the fixed `MAX_THREADS` bound (issue width, rename width).
+/// exceed the fixed `MAX_THREADS` bound (rename width).
 /// Allocated once in [`Simulator::new`] and recycled every cycle, so the
 /// steady-state cycle loop performs no heap allocation; any post-warmup
 /// growth is counted in [`SimStats::scratch_growth_events`].
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Uops selected by the issue stage this cycle.
-    issued_ids: Vec<UopId>,
     /// Uop ids created by the dispatch stage for one macro-op.
     created: Vec<UopId>,
 }
@@ -538,7 +536,6 @@ impl Simulator {
             }),
             metrics: cfg.metrics.then(|| Box::new(crate::SimMetrics::new())),
             scratch: Scratch {
-                issued_ids: Vec::with_capacity(cfg.issue_width),
                 created: Vec::with_capacity(cfg.rename_width),
             },
             threads,
@@ -780,11 +777,14 @@ impl Simulator {
     ///    the number of uncommitted uops in that thread's commit queue
     ///    that write the register — a mismatch means a leak in the
     ///    fetch-increment / commit-decrement protocol.
-    /// 4. Operand-readiness cache: every resolved IQ entry's `ready_at`
+    /// 4. Issue queue: every entry is a live, unissued uop, in strictly
+    ///    increasing `seq` (oldest first, no duplicates) — what the issue
+    ///    stage's in-place compaction must preserve.
+    /// 5. Operand-readiness cache: every resolved IQ entry's `ready_at`
     ///    equals the latest completion of its live producers and older
     ///    same-address stores (a producer that retired since may only
     ///    have lowered that below a `ready_at` already passed).
-    /// 5. Quiet-cycle fast path: while it is active, recomputing the next
+    /// 6. Quiet-cycle fast path: while it is active, recomputing the next
     ///    event from the current state gives the same `quiet_until`, and
     ///    no resolved IQ entry is ready.
     ///
@@ -847,6 +847,25 @@ impl Simulator {
                     ));
                 }
             }
+        }
+
+        let mut prev_seq = None;
+        for &id in &self.iq {
+            let u = &self.uops[id];
+            if !u.live || u.complete_at.is_some() {
+                return Err(format!(
+                    "iq uop {id} (seq {}) is {}",
+                    u.seq,
+                    if u.live { "already issued" } else { "not live" }
+                ));
+            }
+            if let Some(prev) = prev_seq.filter(|&p| p >= u.seq) {
+                return Err(format!(
+                    "iq uop {id} (seq {}) follows seq {prev}: not strictly oldest-first",
+                    u.seq
+                ));
+            }
+            prev_seq = Some(u.seq);
         }
 
         let quiet = self.now < self.quiet_until;

@@ -40,6 +40,40 @@ pub fn pair_index(t: usize, u: usize) -> usize {
     }
 }
 
+/// `PAIRS_OF[mask]`: the pair bits with both threads in thread mask
+/// `mask`, in [`pair_index`] order — the pairs a group must share to
+/// execute as one instruction.
+pub const PAIRS_OF: [u8; 16] = pair_table(true);
+
+/// `TOUCHING[mask]`: the pair bits with at least one thread in `mask` —
+/// the pairs a destination write by `mask` rewrites (Section 4.2.3).
+pub const TOUCHING: [u8; 16] = pair_table(false);
+
+/// Bit `pair_index(t, u)` of entry `mask` is set when `t` and `u` are
+/// both (`both`) or either (`!both`) in `mask`.
+const fn pair_table(both: bool) -> [u8; 16] {
+    let mut table = [0; 16];
+    let mut mask = 0;
+    while mask < 16 {
+        let mut bit = 0;
+        let mut t = 0;
+        while t < mmt_isa::MAX_THREADS {
+            let mut u = t + 1;
+            while u < mmt_isa::MAX_THREADS {
+                let (in_t, in_u) = (mask & (1 << t) != 0, mask & (1 << u) != 0);
+                if (in_t && in_u) || (!both && (in_t || in_u)) {
+                    table[mask] |= 1 << bit;
+                }
+                bit += 1;
+                u += 1;
+            }
+            t += 1;
+        }
+        mask += 1;
+    }
+    table
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     /// Pair-sharing bits.
@@ -106,8 +140,8 @@ impl RegSharingTable {
 
     /// Whether the sharing of `r` between `t` and `u` was established by
     /// the register-merging hardware.
-    #[inline]
-    pub fn pair_by_merge(&self, r: Reg, t: usize, u: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn pair_by_merge(&self, r: Reg, t: usize, u: usize) -> bool {
         if r.is_zero() {
             return false;
         }
@@ -116,36 +150,41 @@ impl RegSharingTable {
         e.shared & idx != 0 && e.by_merge & idx != 0
     }
 
+    /// All pair bits of register `r` at once: `(shared, shared pairs set
+    /// by register merging)`. The zero register shares every pair, none
+    /// of them by merging.
+    #[inline]
+    pub fn pair_bits(&self, r: Reg) -> (u8, u8) {
+        if r.is_zero() {
+            return ((1 << NUM_PAIRS) - 1, 0);
+        }
+        let e = &self.entries[r.index()];
+        (e.shared, e.shared & e.by_merge)
+    }
+
     /// Whether *all* pairs within `itid` share register `r`.
-    pub fn group_shared(&self, r: Reg, itid: Itid) -> bool {
-        itid.pairs().all(|(t, u)| self.pair_shared(r, t, u))
+    #[cfg(test)]
+    fn group_shared(&self, r: Reg, itid: Itid) -> bool {
+        PAIRS_OF[itid.mask() as usize] & !self.pair_bits(r).0 == 0
     }
 
     /// Destination update (Section 4.2.3): for every pair with at least
     /// one member in the fetched `itid`, the bit becomes 1 iff some
-    /// resulting split ITID contains both threads, else 0. Pairs entirely
-    /// outside the fetched ITID are untouched.
+    /// resulting split ITID contains both threads, else 0, and loses its
+    /// merge provenance. Pairs entirely outside the fetched ITID are
+    /// untouched.
     pub fn update_dest(&mut self, r: Reg, itid: Itid, resulting: &[Itid]) {
         if r.is_zero() {
             return;
         }
         self.updates += 1;
+        let touched = TOUCHING[itid.mask() as usize];
+        let together = resulting
+            .iter()
+            .fold(0, |bits, s| bits | PAIRS_OF[s.mask() as usize]);
         let e = &mut self.entries[r.index()];
-        for t in 0..mmt_isa::MAX_THREADS {
-            for u in (t + 1)..mmt_isa::MAX_THREADS {
-                if !itid.contains(t) && !itid.contains(u) {
-                    continue;
-                }
-                let bit = 1 << pair_index(t, u);
-                let together = resulting.iter().any(|s| s.contains(t) && s.contains(u));
-                if together {
-                    e.shared |= bit;
-                } else {
-                    e.shared &= !bit;
-                }
-                e.by_merge &= !bit; // provenance: set by rename, not merge hw
-            }
-        }
+        e.shared = (e.shared & !touched) | (together & touched);
+        e.by_merge &= !touched;
     }
 
     /// Register-merging hardware found identical values in `r` for `t`
@@ -405,6 +444,128 @@ mod tests {
         rst.debug_corrupt_provenance(Reg::R7, 1, 3);
         let err = rst.audit().unwrap_err();
         assert!(err.contains("r7"), "error names the register: {err}");
+    }
+
+    #[test]
+    fn pair_tables_match_pair_index() {
+        for mask in 0u8..16 {
+            let itid_has = |t: usize| mask & (1 << t) != 0;
+            let (mut within, mut touching) = (0u8, 0u8);
+            for t in 0..4 {
+                for u in (t + 1)..4 {
+                    let bit = 1 << pair_index(t, u);
+                    if itid_has(t) && itid_has(u) {
+                        within |= bit;
+                    }
+                    if itid_has(t) || itid_has(u) {
+                        touching |= bit;
+                    }
+                }
+            }
+            assert_eq!(PAIRS_OF[mask as usize], within, "PAIRS_OF[{mask:04b}]");
+            assert_eq!(TOUCHING[mask as usize], touching, "TOUCHING[{mask:04b}]");
+        }
+    }
+
+    #[test]
+    fn pair_bits_agree_with_per_pair_queries() {
+        let mut rst = RegSharingTable::new_none_shared();
+        rst.set_merged(Reg::R4, 0, 2);
+        rst.update_dest(Reg::R4, Itid::from_mask(0b1010), &[Itid::from_mask(0b1010)]);
+        for r in Reg::all() {
+            let (shared, by_merge) = rst.pair_bits(r);
+            for t in 0..4 {
+                for u in (t + 1)..4 {
+                    let bit = 1 << pair_index(t, u);
+                    assert_eq!(
+                        shared & bit != 0,
+                        rst.pair_shared(r, t, u),
+                        "{r:?} ({t},{u})"
+                    );
+                    assert_eq!(
+                        by_merge & bit != 0,
+                        rst.pair_by_merge(r, t, u),
+                        "{r:?} ({t},{u})"
+                    );
+                }
+            }
+        }
+        assert_eq!(rst.pair_bits(Reg::R0), (0x3f, 0));
+        assert_eq!(rst.pair_bits(Reg::R4).1, 1 << pair_index(0, 2));
+    }
+
+    /// Reference destination update, pair by pair as Section 4.2.3 states
+    /// it: the mask form must match it bit for bit.
+    fn update_dest_by_pairs(entry: (u8, u8), itid: Itid, resulting: &[Itid]) -> (u8, u8) {
+        let (mut shared, mut by_merge) = entry;
+        for t in 0..mmt_isa::MAX_THREADS {
+            for u in (t + 1)..mmt_isa::MAX_THREADS {
+                if !itid.contains(t) && !itid.contains(u) {
+                    continue;
+                }
+                let bit = 1 << pair_index(t, u);
+                if resulting.iter().any(|s| s.contains(t) && s.contains(u)) {
+                    shared |= bit;
+                } else {
+                    shared &= !bit;
+                }
+                by_merge &= !bit;
+            }
+        }
+        (shared, by_merge)
+    }
+
+    /// Every set partition of `mask`, as lists of ITIDs.
+    fn partitions(mask: u8) -> Vec<Vec<Itid>> {
+        if mask == 0 {
+            return vec![Vec::new()];
+        }
+        let lowest = mask & mask.wrapping_neg();
+        let rest = mask & !lowest;
+        let mut out = Vec::new();
+        // The block holding the lowest thread, then a partition of the rest.
+        let mut sub = rest;
+        loop {
+            let block = Itid::from_mask(lowest | sub);
+            for mut tail in partitions(rest & !sub) {
+                tail.insert(0, block);
+                out.push(tail);
+            }
+            if sub == 0 {
+                break;
+            }
+            sub = (sub - 1) & rest;
+        }
+        out
+    }
+
+    #[test]
+    fn mask_update_dest_matches_pair_loop_exhaustively() {
+        let mut cases = 0;
+        for mask in 1u8..16 {
+            let itid = Itid::from_mask(mask);
+            for resulting in partitions(mask) {
+                for shared in 0u8..64 {
+                    for by_merge in 0u8..64 {
+                        // `restore_raw` audits, and a prior entry may
+                        // break `by_merge ⊆ shared`: XOR the bits in.
+                        let mut rst = RegSharingTable::new_none_shared();
+                        rst.debug_xor_entry(Reg::R9.index(), shared, by_merge);
+                        rst.update_dest(Reg::R9, itid, &resulting);
+                        let want = update_dest_by_pairs((shared, by_merge), itid, &resulting);
+                        assert_eq!(
+                            rst.entries_raw()[Reg::R9.index()],
+                            want,
+                            "itid {itid} -> {resulting:?}, prior ({shared:#08b}, {by_merge:#08b})"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        // 51 (ITID, partition) pairs: the Bell numbers 1, 2, 5, 15 summed
+        // over the 4, 6, 4, 1 masks of each size.
+        assert_eq!(cases, 51 * 64 * 64);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! * The *chooser* repeatedly picks the largest thread subset whose pairs
 //!   are all shared, guaranteeing a minimal partition.
 //!
+//! Both are combinational logic on 4 + 6 bits, so the simulator computes
+//! the chooser once, at compile time, for every (ITID, shared pairs)
+//! input (the `PARTITION` table); a split is then an AND/OR over the
+//! sources' pair bits and one table lookup.
+//!
 //! Special cases implement Table 2's decision logic: multi-threaded loads
 //! merge like ALU ops (shared memory returns one value); multi-execution
 //! loads additionally consult the [`Lvip`]; multi-execution stores keep a
@@ -20,8 +25,8 @@
 use crate::config::MmtLevel;
 use crate::itid::Itid;
 use crate::lvip::Lvip;
-use crate::rst::RegSharingTable;
-use mmt_isa::{Inst, MemSharing};
+use crate::rst::{RegSharingTable, NUM_PAIRS, PAIRS_OF};
+use mmt_isa::{Inst, MemSharing, MAX_THREADS};
 
 /// One resulting instruction of a split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,13 +41,13 @@ pub struct SplitPart {
 
 /// A split's resulting parts: an inline fixed-capacity list (a split
 /// partitions an ITID, so there are never more than
-/// [`mmt_isa::MAX_THREADS`] parts). Lives entirely on the stack — the
+/// [`MAX_THREADS`] parts). Lives entirely on the stack — the
 /// splitter runs for every dispatched instruction, and the previous
 /// `Vec<SplitPart>` representation made dispatch allocate per
 /// instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartList {
-    parts: [SplitPart; mmt_isa::MAX_THREADS],
+    parts: [SplitPart; MAX_THREADS],
     len: u8,
 }
 
@@ -54,7 +59,7 @@ impl PartList {
                 // Placeholder for unused slots; never read (len gates).
                 itid: Itid::single(0),
                 lvip_speculative: false,
-            }; mmt_isa::MAX_THREADS],
+            }; MAX_THREADS],
             len: 0,
         }
     }
@@ -63,7 +68,7 @@ impl PartList {
     ///
     /// # Panics
     ///
-    /// Panics if the list already holds [`mmt_isa::MAX_THREADS`] parts —
+    /// Panics if the list already holds [`MAX_THREADS`] parts —
     /// impossible for any partition of a valid ITID.
     pub fn push(&mut self, part: SplitPart) {
         self.parts[self.len as usize] = part;
@@ -144,14 +149,10 @@ impl SplitOutcome {
         }
     }
 
-    /// The resulting ITIDs (for RST destination updates).
-    pub fn itids(&self) -> Vec<Itid> {
+    /// The resulting ITIDs.
+    #[cfg(test)]
+    fn itids(&self) -> Vec<Itid> {
         self.parts.iter().map(|p| p.itid).collect()
-    }
-
-    /// Whether any part remains merged across threads.
-    pub fn any_merged(&self) -> bool {
-        self.parts.iter().any(|p| p.itid.is_merged())
     }
 }
 
@@ -179,23 +180,23 @@ pub fn split_instruction_at(
         return SplitOutcome::full_split(itid);
     }
 
-    let sources = inst.sources();
-    let mut remaining = itid.mask();
+    // The filter: pairs sharing every source, and pairs some source
+    // shares by register merging.
+    let (mut shared, mut by_merge) = ((1 << NUM_PAIRS) - 1, 0);
+    for r in inst.sources().iter() {
+        let (s, m) = rst.pair_bits(r);
+        shared &= s;
+        by_merge |= m;
+    }
+    let (subsets, len) = PARTITION[itid.mask() as usize][shared as usize];
     let mut parts = PartList::new();
     let mut regmerge_assisted = false;
-    while remaining != 0 {
-        let subset = choose_largest_shared_subset(remaining, &sources, rst);
-        let part_itid = Itid::from_mask(subset);
-        if part_itid.is_merged() {
-            regmerge_assisted |= part_itid
-                .pairs()
-                .any(|(t, u)| sources.iter().any(|r| rst.pair_by_merge(r, t, u)));
-        }
+    for &subset in &subsets[..len as usize] {
+        regmerge_assisted |= PAIRS_OF[subset as usize] & by_merge != 0;
         parts.push(SplitPart {
-            itid: part_itid,
+            itid: Itid::from_mask(subset),
             lvip_speculative: false,
         });
-        remaining &= !subset;
     }
 
     let mut lvip_lookups = 0u8;
@@ -231,45 +232,49 @@ pub fn split_instruction_at(
     }
 }
 
-/// The chooser: the largest subset of `remaining` (ties broken toward the
-/// lower mask, deterministically) in which every thread pair shares every
-/// source register.
-fn choose_largest_shared_subset(
-    remaining: u8,
-    sources: &mmt_isa::inst::Sources,
-    rst: &RegSharingTable,
-) -> u8 {
-    let mut best: u8 = 0;
-    let mut best_count = 0;
-    // Enumerate non-empty subsets of `remaining`.
-    let mut sub = remaining;
-    loop {
-        let count = sub.count_ones();
-        let better = count > best_count || (count == best_count && sub < best);
-        if better && subset_fully_shared(sub, sources, rst) {
-            best = sub;
-            best_count = count;
+/// `PARTITION[mask][shared]`: the chooser's parts, in choice order, for
+/// an instruction fetched with ITID `mask` whose sources share exactly
+/// the pairs in `shared`.
+static PARTITION: [[([u8; MAX_THREADS], u8); 1 << NUM_PAIRS]; 1 << MAX_THREADS] = {
+    let mut table = [[([0; MAX_THREADS], 0); 1 << NUM_PAIRS]; 1 << MAX_THREADS];
+    let mut mask = 1;
+    while mask < table.len() {
+        let mut shared = 0;
+        while shared < table[mask].len() {
+            table[mask][shared] = choose_partition(mask as u8, shared as u8);
+            shared += 1;
         }
-        if sub == 0 {
-            break;
-        }
-        sub = (sub - 1) & remaining;
+        mask += 1;
     }
-    if best == 0 {
-        // No multi-thread subset shares; peel the lowest thread.
-        1 << remaining.trailing_zeros()
-    } else {
-        best
-    }
-}
+    table
+};
 
-fn subset_fully_shared(mask: u8, sources: &mmt_isa::inst::Sources, rst: &RegSharingTable) -> bool {
-    if mask.count_ones() < 2 {
-        return mask != 0;
+/// The chooser: repeatedly take the largest subset of the remaining
+/// threads (ties broken toward the lower mask, deterministically) in
+/// which every thread pair is in `shared`. A single thread always
+/// qualifies, so every pass makes progress.
+const fn choose_partition(mask: u8, shared: u8) -> ([u8; MAX_THREADS], u8) {
+    let mut parts = [0; MAX_THREADS];
+    let mut len = 0;
+    let mut remaining = mask;
+    while remaining != 0 {
+        let (mut best, mut best_count) = (0u8, 0);
+        // Enumerate the non-empty subsets of `remaining`.
+        let mut sub = remaining;
+        while sub != 0 {
+            let count = sub.count_ones();
+            let better = count > best_count || (count == best_count && sub < best);
+            if better && PAIRS_OF[sub as usize] & !shared == 0 {
+                best = sub;
+                best_count = count;
+            }
+            sub = (sub - 1) & remaining;
+        }
+        parts[len] = best;
+        len += 1;
+        remaining &= !best;
     }
-    let itid = Itid::from_mask(mask);
-    itid.pairs()
-        .all(|(t, u)| sources.iter().all(|r| rst.pair_shared(r, t, u)))
+    (parts, len as u8)
 }
 
 #[cfg(test)]
@@ -327,7 +332,6 @@ mod tests {
         );
         assert_eq!(out.parts.len(), 1);
         assert_eq!(out.parts[0].itid, Itid::single(2));
-        assert!(!out.any_merged());
     }
 
     #[test]
@@ -579,6 +583,99 @@ mod tests {
         );
         assert_eq!(out.parts.len(), 1);
         assert!(out.regmerge_assisted);
+    }
+
+    /// Reference chooser, evaluated pair by pair: enumerate the subsets of
+    /// the remaining threads, testing every pair of every source in the
+    /// RST. [`PARTITION`] must reproduce its parts, in order.
+    fn reference_parts(itid: Itid, inst: Inst, rst: &RegSharingTable) -> (Vec<Itid>, bool) {
+        let sources = inst.sources();
+        let fully_shared = |mask: u8| {
+            if mask.count_ones() < 2 {
+                return mask != 0;
+            }
+            Itid::from_mask(mask)
+                .pairs()
+                .all(|(t, u)| sources.iter().all(|r| rst.pair_shared(r, t, u)))
+        };
+        let mut remaining = itid.mask();
+        let mut parts = Vec::new();
+        let mut regmerge_assisted = false;
+        while remaining != 0 {
+            let (mut best, mut best_count) = (0u8, 0);
+            let mut sub = remaining;
+            loop {
+                let count = sub.count_ones();
+                let better = count > best_count || (count == best_count && sub < best);
+                if better && fully_shared(sub) {
+                    best = sub;
+                    best_count = count;
+                }
+                if sub == 0 {
+                    break;
+                }
+                sub = (sub - 1) & remaining;
+            }
+            if best == 0 {
+                best = 1 << remaining.trailing_zeros();
+            }
+            let part = Itid::from_mask(best);
+            if part.is_merged() {
+                regmerge_assisted |= part
+                    .pairs()
+                    .any(|(t, u)| sources.iter().any(|r| rst.pair_by_merge(r, t, u)));
+            }
+            parts.push(part);
+            remaining &= !best;
+        }
+        (parts, regmerge_assisted)
+    }
+
+    #[test]
+    fn partition_table_matches_reference_chooser_exhaustively() {
+        // Every ITID × every R1 and R2 pair pattern; merge provenance on
+        // R1 from every pattern `p`, on R2 from its complement, each
+        // masked to the pairs the register shares (`by_merge ⊆ shared`).
+        let mut lvip = Lvip::new(16);
+        let mut raw = [(0u8, 0u8); mmt_isa::reg::NUM_REGS];
+        let mut rst = RegSharingTable::new_none_shared();
+        let mut assisted = 0u64;
+        for mask in 1u8..16 {
+            let itid = Itid::from_mask(mask);
+            for s1 in 0u8..64 {
+                for s2 in 0u8..64 {
+                    for p in 0u8..64 {
+                        raw[Reg::R1.index()] = (s1, s1 & p);
+                        raw[Reg::R2.index()] = (s2, s2 & !p & 0x3f);
+                        rst.restore_raw(&raw);
+                        let out = split_at(
+                            alu(),
+                            itid,
+                            MemSharing::Shared,
+                            MmtLevel::Fxr,
+                            &rst,
+                            &mut lvip,
+                        );
+                        let (parts, regmerge) = reference_parts(itid, alu(), &rst);
+                        assert_eq!(
+                            out.itids(),
+                            parts,
+                            "itid {itid}, r1 {s1:#08b}, r2 {s2:#08b}"
+                        );
+                        assert_eq!(
+                            out.regmerge_assisted, regmerge,
+                            "itid {itid}, r1 {s1:#08b}, r2 {s2:#08b}, provenance {p:#08b}"
+                        );
+                        assert!(out.parts.iter().all(|p| !p.lvip_speculative));
+                        assisted += regmerge as u64;
+                    }
+                }
+            }
+        }
+        assert!(
+            assisted > 0,
+            "the provenance patterns reach regmerge_assisted"
+        );
     }
 
     #[test]

@@ -231,7 +231,12 @@ pub struct SimStats {
     pub branch_mispredicts: u64,
     /// LVIP lookups.
     pub lvip_lookups: u64,
-    /// LVIP mispredictions (rollbacks).
+    /// LVIP mismatches: dispatch attempts at which a merged
+    /// multi-execution load predicted identical read different values.
+    /// A load stalled at the dispatch head is re-verified, and counted,
+    /// on every retry, so this over-counts rollbacks, which are charged
+    /// once per dispatched load ([`PcCounters::lvip_misses`], the
+    /// `LvipOutcome::Rollback` trace event).
     pub lvip_mispredicts: u64,
     /// Divergences (merge groups split).
     pub divergences: u64,

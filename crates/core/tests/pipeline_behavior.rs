@@ -692,6 +692,52 @@ fn lvip_retry_kernel() -> (Program, Vec<Memory>) {
     (b.build().unwrap(), memories)
 }
 
+/// `SimStats::lvip_mispredicts` counts every dispatch attempt that finds
+/// a mismatch, so a merged load that mismatches while it waits at the
+/// dispatch head is counted once per retry, while its rollback is charged
+/// only on the attempt that dispatches. This pins that gap: the rollbacks
+/// (trace events and the per-PC profile agree on them) stay below the
+/// mismatch count.
+#[test]
+fn lvip_mismatches_count_stall_retries_but_rollbacks_do_not() {
+    use mmt_obs::{LvipOutcome, TraceEvent};
+    let (program, memories) = lvip_retry_kernel();
+    let mut cfg = SimConfig::paper_with(4, MmtLevel::Fxr);
+    cfg.rob_size = 8;
+    cfg.record_pc_profile = true;
+    cfg.trace = Some(mmt_sim::TraceConfig::default());
+    let spec = RunSpec {
+        program,
+        sharing: MemSharing::PerThread,
+        memories,
+        threads: 4,
+    };
+    let r = Simulator::new(cfg, spec).unwrap().run().unwrap();
+    let trace = r.trace.as_ref().expect("tracing was enabled");
+    assert_eq!(trace.dropped, 0, "the event stream is complete");
+    let rollbacks = trace
+        .events
+        .iter()
+        .filter(|rec| {
+            matches!(
+                rec.event,
+                TraceEvent::Lvip {
+                    outcome: LvipOutcome::Rollback,
+                    ..
+                }
+            )
+        })
+        .count() as u64;
+    let misses: u64 = r.stats.pc_profile.iter().map(|c| c.lvip_misses).sum();
+    assert_eq!(rollbacks, misses, "one rollback per dispatched mismatch");
+    assert!(rollbacks >= 1, "the load mismatches when it dispatches");
+    assert!(
+        misses < r.stats.lvip_mispredicts,
+        "stall retries count as mismatches: {misses} rollbacks vs {} mismatches",
+        r.stats.lvip_mispredicts
+    );
+}
+
 /// The quiet-cycle fast path is exact: every statistic and register
 /// matches a run that steps all four stages every cycle. The inputs
 /// cover the rules the fast path depends on beyond the golden grid: a

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cfg = mmt::sim::SimConfig::paper_with(threads, level);
         let r = mmt::sim::Simulator::new(cfg, spec)?.run()?;
         println!(
-            "{label}: {:>8} cycles, LVIP {} lookups / {} rollbacks, \
+            "{label}: {:>8} cycles, LVIP {} lookups / {} mismatches, \
              {:>4.1}% executed merged",
             r.stats.cycles,
             r.stats.lvip_lookups,
