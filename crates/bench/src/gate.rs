@@ -102,7 +102,7 @@ impl GateSpec {
             })
             .collect();
         let scale = scale_arg(args, 16, json);
-        let jobs = jobs_arg(args);
+        let jobs = jobs_arg(args, json);
         let progress = progress_arg(args).map(|path| {
             Arc::new(ProgressSink::create(&path).unwrap_or_else(|e| {
                 fail_run(

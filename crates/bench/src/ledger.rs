@@ -12,7 +12,7 @@
 //! one parsed line (used by the schema test over the committed ledger),
 //! and [`read`] parses a whole file line by line.
 
-use mmt_obs::json::{self, Value};
+use mmt_obs::json::{self, FromJson, Value};
 use std::path::{Path, PathBuf};
 
 /// Where the ledger lives, relative to the repo root.
@@ -44,7 +44,7 @@ pub struct LedgerRecord {
     /// Soundness violations / regressions the gate counted.
     pub violations: u64,
 }
-mmt_obs::impl_to_json! {
+mmt_obs::impl_json! {
     LedgerRecord {
         tool, git_rev, config_digest, apps, threads, scale, wall_ms, sim_cycles_per_sec, gate,
         violations
@@ -68,11 +68,10 @@ impl LedgerRecord {
             .map(|t| t.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        let config_digest = config_digest(&[tool, &apps.to_string(), &threads, &scale.to_string()]);
         LedgerRecord {
             tool: tool.to_string(),
             git_rev: git_rev(),
-            config_digest,
+            config_digest: String::new(),
             apps: apps as u64,
             threads,
             scale,
@@ -81,6 +80,18 @@ impl LedgerRecord {
             gate: if violations == 0 { "pass" } else { "fail" }.to_string(),
             violations: violations as u64,
         }
+        .keyed_by(&[])
+    }
+
+    /// Set the config digest to cover the tool, grid and scale plus
+    /// `parts` (say, which figures a run regenerated), so trends pair
+    /// only records that did the same work.
+    pub fn keyed_by(mut self, parts: &[&str]) -> LedgerRecord {
+        let (apps, scale) = (self.apps.to_string(), self.scale.to_string());
+        let mut all = vec![self.tool.as_str(), &apps, &self.threads, &scale];
+        all.extend_from_slice(parts);
+        self.config_digest = config_digest(&all);
+        self
     }
 
     /// The record as one JSONL line (trailing newline included).
@@ -125,22 +136,6 @@ impl LedgerRecord {
             Ok(path) => println!("ledger += {} ({})", path.display(), self.tool),
             Err(e) => eprintln!("warning: ledger record not appended: {e}"),
         }
-    }
-
-    /// Rebuild a record from one parsed ledger line.
-    pub fn from_json(v: &Value) -> Option<LedgerRecord> {
-        Some(LedgerRecord {
-            tool: v.get("tool")?.as_str()?.to_string(),
-            git_rev: v.get("git_rev")?.as_str()?.to_string(),
-            config_digest: v.get("config_digest")?.as_str()?.to_string(),
-            apps: v.get("apps")?.as_f64()? as u64,
-            threads: v.get("threads")?.as_str()?.to_string(),
-            scale: v.get("scale")?.as_f64()? as u64,
-            wall_ms: v.get("wall_ms")?.as_f64()?,
-            sim_cycles_per_sec: v.get("sim_cycles_per_sec")?.as_f64()?,
-            gate: v.get("gate")?.as_str()?.to_string(),
-            violations: v.get("violations")?.as_f64()? as u64,
-        })
     }
 
     /// Validate one parsed ledger line against the schema: every field
@@ -207,7 +202,9 @@ pub fn read(path: &Path) -> Result<Vec<LedgerRecord>, String> {
         }
         let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         LedgerRecord::validate(&v).map_err(|e| format!("line {}: {e}", i + 1))?;
-        records.push(LedgerRecord::from_json(&v).expect("validated record converts"));
+        let record = LedgerRecord::from_json(&v)
+            .ok_or_else(|| format!("line {}: counts must be whole numbers", i + 1))?;
+        records.push(record);
     }
     Ok(records)
 }
@@ -319,5 +316,31 @@ mod tests {
         assert_eq!(config_digest(&["a", "b"]), config_digest(&["a", "b"]));
         assert_ne!(config_digest(&["a", "b"]), config_digest(&["ab"]));
         assert_ne!(config_digest(&["a", "b"]), config_digest(&["b", "a"]));
+        let rec = sample();
+        assert_eq!(
+            rec.config_digest,
+            config_digest(&["mmtpredict", "16", "2,4", "16"])
+        );
+        let keyed = sample().keyed_by(&["fig5a_speedup_2t"]);
+        assert_ne!(keyed.config_digest, rec.config_digest);
+        assert_ne!(
+            keyed.config_digest,
+            sample().keyed_by(&["fig5b_identified"]).config_digest
+        );
+    }
+
+    #[test]
+    fn read_rejects_fractional_counts() {
+        let dir = std::env::temp_dir().join(format!("mmt-ledger-frac-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("LEDGER.jsonl");
+        sample().append_to(&path).unwrap();
+        let line = sample()
+            .to_json_line()
+            .replace("\"apps\":16", "\"apps\":1.5");
+        std::fs::write(&path, std::fs::read_to_string(&path).unwrap() + &line).unwrap();
+        let err = read(&path).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,22 +1,15 @@
 //! # mmt-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (Section 6).
-//! Each binary prints the same rows/series the paper reports; see
-//! EXPERIMENTS.md at the repository root for the paper-vs-measured
-//! record. The shared plumbing lives here: building [`RunSpec`]s from
-//! workloads, running configurations, and computing speedups.
+//! `mmtfigs` regenerates every table, figure and ablation of the
+//! paper's evaluation (Section 6) from one deduplicated run grid; the
+//! figure table lives in [`figs`]. EXPERIMENTS.md at the repository
+//! root has the paper-vs-measured record. The shared plumbing lives
+//! here: building [`RunSpec`]s from workloads, running configurations,
+//! and computing speedups.
 //!
-//! | binary | reproduces |
+//! | binary | does |
 //! |---|---|
-//! | `fig1_redundancy` | Figure 1 (+ Table 1 suite listing) |
-//! | `fig2_divergence` | Figure 2 |
-//! | `table3_hw` | Table 3 |
-//! | `fig5_speedup` | Figures 5(a)/5(c) (`--threads 2|4`) |
-//! | `fig5b_identified` | Figure 5(b) |
-//! | `fig5d_fetch_modes` | Figure 5(d) + Section 6.3 remerge distances |
-//! | `fig6_energy` | Figure 6 |
-//! | `fig7_sensitivity` | Figures 7(a)–(d) (`--sweep fhb|ports|width`) |
-//! | `ablations` | design-choice studies beyond the paper (`--study sync|align|lvip|fetchstyle|prefetch|barrier|fetchpolicy`) |
+//! | `mmtfigs` | Figures 1, 2, 5(a)–(d), 6, 7(a)–(d), Table 3 and the design-choice ablations (`--figure NAME,…`) |
 //! | `mmtsim` | general-purpose CLI driver (any app/config, JSON output, `--asm` files) |
 //! | `mmtlint` | static linter + merge classification over suite apps (`--format json`) |
 //! | `mmtpredict` | static savings predictor vs. per-PC dynamic profile (differential gate) |
@@ -26,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod figs;
 pub mod gate;
 pub mod ledger;
 pub mod report;
@@ -33,7 +27,7 @@ pub mod retry;
 pub mod sample;
 pub mod sweep;
 
-use mmt_sim::{MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
+use mmt_sim::{MmtLevel, RunSpec, SimConfig, SimResult, SimStats, Simulator};
 use mmt_workloads::{App, WorkloadInstance};
 
 /// Iteration divisor for full experiment runs (1 = paper-sized for this
@@ -74,38 +68,9 @@ pub fn run_app_with(
     scale: u64,
     tweak: impl FnOnce(&mut SimConfig),
 ) -> SimResult {
-    try_run_app_with(app, threads, level, scale, tweak).expect("workloads terminate")
-}
-
-/// Fallible twin of [`run_app_with`] for supervised sweeps: simulator
-/// errors (including watchdog trips like `LivelockDetected`) come back
-/// as typed messages instead of panics, so a failing grid point can
-/// degrade to a `PointFailure` record.
-pub fn try_run_app_with(
-    app: &App,
-    threads: usize,
-    level: MmtLevel,
-    scale: u64,
-    tweak: impl FnOnce(&mut SimConfig),
-) -> Result<SimResult, String> {
     let mut cfg = SimConfig::paper_with(threads, level);
     tweak(&mut cfg);
     let spec = to_run_spec(app.instance(threads, scale));
-    Simulator::new(cfg, spec)
-        .map_err(|e| format!("{}: invalid config/spec: {e}", app.name))?
-        .run()
-        .map_err(|e| format!("{}: {e}", app.name))
-}
-
-/// Run the paper's *Limit* configuration for an app (identical instances
-/// on MMT-FXR hardware).
-///
-/// # Panics
-///
-/// Panics on simulator errors (see [`run_app`]).
-pub fn run_limit(app: &App, threads: usize, scale: u64) -> SimResult {
-    let cfg = SimConfig::paper_with(threads, MmtLevel::Fxr);
-    let spec = to_run_spec(app.limit_instance(threads, scale));
     Simulator::new(cfg, spec)
         .expect("valid config and spec")
         .run()
@@ -114,8 +79,8 @@ pub fn run_limit(app: &App, threads: usize, scale: u64) -> SimResult {
 
 /// Speedup of `test` over `base` by cycle count (same work on both
 /// sides).
-pub fn speedup(base: &SimResult, test: &SimResult) -> f64 {
-    base.stats.cycles as f64 / test.stats.cycles.max(1) as f64
+pub fn speedup(base: &SimStats, test: &SimStats) -> f64 {
+    base.cycles as f64 / test.cycles.max(1) as f64
 }
 
 /// Geometric mean of a non-empty slice.
@@ -162,7 +127,7 @@ mod tests {
         let app = app_by_name("swaptions").expect("known app");
         let base = run_app(&app, 2, MmtLevel::Base, SMOKE_SCALE);
         let fxr = run_app(&app, 2, MmtLevel::Fxr, SMOKE_SCALE);
-        let s = speedup(&base, &fxr);
+        let s = speedup(&base.stats, &fxr.stats);
         assert!(s > 0.5 && s < 5.0, "speedup {s} out of sanity range");
         // Same architectural work either way.
         assert_eq!(base.final_regs, fxr.final_regs);
@@ -171,7 +136,10 @@ mod tests {
     #[test]
     fn limit_run_is_heavily_merged() {
         let app = app_by_name("twolf").expect("known app");
-        let lim = run_limit(&app, 2, SMOKE_SCALE);
+        // The paper's Limit: identical instances on MMT-FXR hardware.
+        let spec = to_run_spec(app.limit_instance(2, SMOKE_SCALE));
+        let cfg = SimConfig::paper_with(2, MmtLevel::Fxr);
+        let lim = Simulator::new(cfg, spec).unwrap().run().unwrap();
         let id = &lim.stats.identity;
         assert!(
             (id.execute_identical + id.execute_identical_regmerge) as f64 / id.total() as f64 > 0.7,

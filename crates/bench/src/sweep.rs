@@ -1,8 +1,8 @@
 //! Parallel sweep harness + benchmark telemetry.
 //!
-//! Every figure binary sweeps an independent `(app, threads, SimConfig)`
-//! grid; [`run_parallel`] fans those simulations out across a scoped
-//! worker pool (std::thread only — no external dependencies) while
+//! `mmtfigs` and the gate bins sweep independent `(app, threads,
+//! SimConfig)` grids; [`run_parallel`] fans those simulations out across
+//! a scoped worker pool (std::thread only — no external dependencies) while
 //! keeping result order deterministic: results come back in item order
 //! no matter which worker finished first, so figure output is
 //! byte-identical at any pool size.
@@ -38,12 +38,16 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Parse `--jobs N` (defaulting to [`default_jobs`]).
-pub fn jobs_arg(args: &[String]) -> usize {
-    crate::arg_value(args, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes a number"))
-        .unwrap_or_else(default_jobs)
-        .max(1)
+/// Parse `--jobs N` (defaulting to [`default_jobs`]); anything but a
+/// whole number is a usage error (see [`crate::cli::fail_usage`]).
+pub fn jobs_arg(args: &[String], json: bool) -> usize {
+    match crate::arg_value(args, "--jobs") {
+        None => default_jobs(),
+        Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
+            crate::cli::fail_usage(json, format!("--jobs takes a number, got '{v}'"))
+        }),
+    }
+    .max(1)
 }
 
 /// Run `f` over every item on `jobs` scoped worker threads, returning
@@ -481,17 +485,6 @@ where
     })
 }
 
-/// Time one simulation and capture its telemetry.
-pub fn timed_run(
-    label: impl Into<String>,
-    run: impl FnOnce() -> SimResult,
-) -> (SimResult, RunTelemetry) {
-    let start = Instant::now();
-    let result = run();
-    let t = RunTelemetry::new(label.into(), start.elapsed(), &result.stats);
-    (result, t)
-}
-
 /// Telemetry for one simulation inside a sweep.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
@@ -511,7 +504,7 @@ pub struct RunTelemetry {
     /// Scratch-buffer heap growth events (0 after warmup).
     pub scratch_growth_events: u64,
 }
-mmt_obs::impl_to_json! {
+mmt_obs::impl_json! {
     RunTelemetry {
         label, cycles, wall_ms, sim_cycles_per_sec, peak_uop_arena, peak_live_uops,
         scratch_growth_events
@@ -541,20 +534,6 @@ impl RunTelemetry {
             sim_cycles_per_sec: 0.0,
             ..self.clone()
         }
-    }
-
-    /// Rebuild telemetry from its JSON form, as a resume cache stores
-    /// it. Returns `None` on any missing field.
-    pub fn from_json(v: &Value) -> Option<RunTelemetry> {
-        Some(RunTelemetry {
-            label: v.get("label")?.as_str()?.to_string(),
-            cycles: v.get("cycles")?.as_f64()? as u64,
-            wall_ms: v.get("wall_ms")?.as_f64()?,
-            sim_cycles_per_sec: v.get("sim_cycles_per_sec")?.as_f64()?,
-            peak_uop_arena: v.get("peak_uop_arena")?.as_f64()? as u64,
-            peak_live_uops: v.get("peak_live_uops")?.as_f64()? as u64,
-            scratch_growth_events: v.get("scratch_growth_events")?.as_f64()? as u64,
-        })
     }
 }
 
@@ -647,12 +626,6 @@ pub fn write_trace_files(dir: &Path, label: &str, trace: &Trace) -> std::io::Res
     Ok(dir.join(format!("{stem}.trace.json")))
 }
 
-/// Parse `--resume-dir DIR`: when present, a sweep caches every
-/// completed grid point under DIR and reloads cached points on restart.
-pub fn resume_dir_arg(args: &[String]) -> Option<PathBuf> {
-    crate::arg_value(args, "--resume-dir").map(PathBuf::from)
-}
-
 /// On-disk cache of completed grid points for crash-resumable sweeps.
 ///
 /// Each completed point is written to `<dir>/<label>.point.json` via a
@@ -693,8 +666,10 @@ impl ResumeDir {
 
     /// Step a simulation to completion, atomically rewriting
     /// `<label>.ckpt.json` with the architectural state every `every`
-    /// cycles — the PR 6 `ArchState` document, digest-sealed, so a long
-    /// point killed mid-run leaves an inspectable, restartable snapshot.
+    /// cycles — the digest-sealed `ArchState` document, so a long point
+    /// killed mid-run leaves an inspectable, restartable snapshot. The
+    /// file is removed once the run finishes: only in-flight runs keep
+    /// one.
     pub fn run_checkpointed(
         &self,
         label: &str,
@@ -715,6 +690,8 @@ impl ResumeDir {
                 }
             }
         }
+        // Absent when the run finished before its first checkpoint.
+        let _ = std::fs::remove_file(&path);
         Ok(sim.finish())
     }
 
@@ -943,6 +920,7 @@ mod tests {
 
     #[test]
     fn resume_dir_round_trips_points_atomically() {
+        use mmt_obs::json::FromJson;
         let dir = std::env::temp_dir().join(format!("mmt-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResumeDir::open(&dir).unwrap();

@@ -1,6 +1,7 @@
 //! Usage errors are typed, never panics: `--scale` is an iteration
 //! divisor, so every bin that takes it rejects `--scale 0` with the usage
-//! exit code before building a single app instance.
+//! exit code before building a single app instance; a malformed
+//! `--jobs` or an unknown `--figure` is rejected the same way.
 
 use mmt_bench::cli::EXIT_USAGE;
 use std::process::Command;
@@ -11,14 +12,7 @@ fn scale_zero_is_a_usage_error_in_every_bin() {
         env!("CARGO_BIN_EXE_mmtsim"),
         env!("CARGO_BIN_EXE_mmtlint"),
         env!("CARGO_BIN_EXE_mmttrace"),
-        env!("CARGO_BIN_EXE_fig1_redundancy"),
-        env!("CARGO_BIN_EXE_fig2_divergence"),
-        env!("CARGO_BIN_EXE_fig5_speedup"),
-        env!("CARGO_BIN_EXE_fig5b_identified"),
-        env!("CARGO_BIN_EXE_fig5d_fetch_modes"),
-        env!("CARGO_BIN_EXE_fig6_energy"),
-        env!("CARGO_BIN_EXE_fig7_sensitivity"),
-        env!("CARGO_BIN_EXE_ablations"),
+        env!("CARGO_BIN_EXE_mmtfigs"),
         // The differential gates parse it through `GateSpec`.
         env!("CARGO_BIN_EXE_mmtpredict"),
         env!("CARGO_BIN_EXE_mmtmem"),
@@ -41,5 +35,46 @@ fn scale_zero_is_a_usage_error_in_every_bin() {
             stderr.contains("error: --scale"),
             "{bin} --scale 0 names the flag: {stderr}"
         );
+    }
+}
+
+/// Run `bin` with `args`; assert a usage exit whose stderr carries
+/// `want`, and return that stderr.
+fn usage_error(bin: &str, args: &[&str], want: &str) -> String {
+    let out = Command::new(bin).args(args).output().expect("bin runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(
+        out.status.code(),
+        Some(EXIT_USAGE),
+        "{bin} {args:?}: {stderr}"
+    );
+    assert!(stderr.contains(want), "{bin} {args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn malformed_jobs_is_a_usage_error() {
+    for bin in [
+        env!("CARGO_BIN_EXE_mmtfigs"),
+        env!("CARGO_BIN_EXE_mmtpredict"),
+    ] {
+        usage_error(bin, &["--jobs", "x"], "error: --jobs");
+    }
+}
+
+#[test]
+fn mmtfigs_rejects_unknown_figures_and_flags() {
+    let figs = env!("CARGO_BIN_EXE_mmtfigs");
+    let stderr = usage_error(figs, &["--figure", "nope"], "error: unknown figure 'nope'");
+    for name in [
+        "fig1_redundancy",
+        "fig5c_speedup_4t",
+        "ablation_fetchpolicy",
+    ] {
+        assert!(stderr.contains(name), "valid names listed: {stderr}");
+    }
+    usage_error(figs, &["--threads", "4"], "error: unknown flag '--threads'");
+    for secs in ["x", "0", "1e300"] {
+        usage_error(figs, &["--deadline-secs", secs], "error: --deadline-secs");
     }
 }

@@ -2,7 +2,7 @@
 //! of the figure harnesses, DESIGN.md §8): the headline *shapes* of the
 //! paper must hold even at smoke scale.
 
-use mmt_bench::{geomean, run_app, run_app_with, run_limit, speedup, SMOKE_SCALE};
+use mmt_bench::{geomean, run_app, run_app_with, speedup, SMOKE_SCALE};
 use mmt_energy::EnergyModel;
 use mmt_sim::MmtLevel;
 use mmt_workloads::app_by_name;
@@ -23,20 +23,20 @@ fn figure5_shape_fxr_helps_where_sharing_is_high() {
     for app in sample() {
         let base = run_app(&app, 2, MmtLevel::Base, SMOKE_SCALE);
         let fxr = run_app(&app, 2, MmtLevel::Fxr, SMOKE_SCALE);
-        let s = speedup(&base, &fxr);
+        let s = speedup(&base.stats, &fxr.stats);
         assert!(
             s > 0.85,
             "{}: FXR should not lose badly at smoke scale, got {s:.3}",
             app.name
         );
-        let limit_base = {
-            let cfg = mmt_sim::SimConfig::paper_with(2, MmtLevel::Base);
+        let limit_at = |level| {
+            let cfg = mmt_sim::SimConfig::paper_with(2, level);
             let spec = mmt_bench::to_run_spec(app.limit_instance(2, SMOKE_SCALE));
             mmt_sim::Simulator::new(cfg, spec).unwrap().run().unwrap()
         };
-        let limit = run_limit(&app, 2, SMOKE_SCALE);
+        let (limit_base, limit) = (limit_at(MmtLevel::Base), limit_at(MmtLevel::Fxr));
         assert!(
-            speedup(&limit_base, &limit) >= s * 0.9,
+            speedup(&limit_base.stats, &limit.stats) >= s * 0.9,
             "{}: Limit should be at least comparable to FXR",
             app.name
         );
@@ -52,10 +52,10 @@ fn figure5_shape_four_threads_at_least_two() {
     for app in sample() {
         let b2 = run_app(&app, 2, MmtLevel::Base, SMOKE_SCALE);
         let f2 = run_app(&app, 2, MmtLevel::Fxr, SMOKE_SCALE);
-        s2.push(speedup(&b2, &f2));
+        s2.push(speedup(&b2.stats, &f2.stats));
         let b4 = run_app(&app, 4, MmtLevel::Base, SMOKE_SCALE);
         let f4 = run_app(&app, 4, MmtLevel::Fxr, SMOKE_SCALE);
-        s4.push(speedup(&b4, &f4));
+        s4.push(speedup(&b4.stats, &f4.stats));
     }
     assert!(
         geomean(&s4) > geomean(&s2) * 0.92,
@@ -95,7 +95,7 @@ fn figure7d_shape_narrow_fetch_amplifies_mmt() {
     let at_width = |w: usize| {
         let base = run_app_with(&app, 2, MmtLevel::Base, SMOKE_SCALE, |c| c.fetch_width = w);
         let fxr = run_app_with(&app, 2, MmtLevel::Fxr, SMOKE_SCALE, |c| c.fetch_width = w);
-        speedup(&base, &fxr)
+        speedup(&base.stats, &fxr.stats)
     };
     let narrow = at_width(4);
     let wide = at_width(16);
@@ -127,7 +127,7 @@ fn input_variation_keeps_speedup_direction() {
         .unwrap()
         .run()
         .unwrap();
-        let s = speedup(&base, &fxr);
+        let s = speedup(&base.stats, &fxr.stats);
         assert!(s > 0.9, "input {input}: ammp FXR speedup {s:.3}");
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end fault-tolerance tests for the sweep harness (DESIGN.md
-//! §15): a SIGKILLed `fig5_speedup` resumes via `--resume-dir` and
+//! §15): a SIGKILLed `mmtfigs` resumes via `--resume-dir` and
 //! produces byte-identical canonical BENCH JSON to an uninterrupted run,
 //! and a deliberately livelocked grid point terminates via the livelock
 //! watchdog and lands in the report as a `PointFailure` without
@@ -45,18 +45,41 @@ fn canonicalize(v: &Value) -> String {
     v.to_json()
 }
 
-fn fig5_cmd(dir: &Path) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig5_speedup"));
+fn figs_cmd(dir: &Path) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mmtfigs"));
     // BENCH output lands in cwd-relative `results/`, so each scenario
     // gets its own working directory.
     cmd.current_dir(dir)
-        .args(["--threads", "2", "--scale", "16", "--jobs", "4"])
+        .args([
+            "--figure",
+            "fig5a_speedup_2t",
+            "--scale",
+            "16",
+            "--jobs",
+            "4",
+        ])
         .args(["--resume-dir", "rd"]);
     cmd
 }
 
 fn bench_path(dir: &Path) -> PathBuf {
-    dir.join("results/BENCH_fig5_speedup.json")
+    dir.join("results/BENCH_figs.json")
+}
+
+/// The `resume: <cached> of <distinct> runs loaded from cache;
+/// <simulated> simulated` line: (cached, simulated).
+fn resume_counts(stderr: &str) -> (usize, usize) {
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("resume:"))
+        .unwrap_or_else(|| panic!("no resume line in stderr:\n{stderr}"));
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let count = |i: usize| -> usize {
+        words[i]
+            .parse()
+            .unwrap_or_else(|_| panic!("unexpected resume line: {line}"))
+    };
+    (count(1), count(words.len() - 2))
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -81,20 +104,17 @@ fn completed_points(dir: &Path) -> usize {
 fn sigkilled_sweep_resumes_to_identical_canonical_bench_json() {
     // Reference: one uninterrupted sweep.
     let clean = fresh_dir("clean");
-    let status = fig5_cmd(&clean).status().expect("fig5_speedup runs");
+    let status = figs_cmd(&clean).status().expect("mmtfigs runs");
     assert!(status.success(), "uninterrupted sweep failed: {status}");
 
-    // Victim: start the same sweep, SIGKILL it once at least two grid
-    // points have committed their cache entries, then rerun to
-    // completion in the same directory.
+    // Victim: start the same sweep, SIGKILL it once at least two runs
+    // have committed their cache entries, then rerun to completion in
+    // the same directory.
     let victim = fresh_dir("victim");
-    let mut child = fig5_cmd(&victim).spawn().expect("fig5_speedup spawns");
+    let mut child = figs_cmd(&victim).spawn().expect("mmtfigs spawns");
     let deadline = Instant::now() + Duration::from_secs(120);
     while completed_points(&victim) < 2 {
-        assert!(
-            Instant::now() < deadline,
-            "no grid points completed in time"
-        );
+        assert!(Instant::now() < deadline, "no runs completed in time");
         if let Some(status) = child.try_wait().expect("child pollable") {
             // The whole sweep finished before we could kill it (machine
             // much faster than expected): resume still gets exercised,
@@ -107,26 +127,26 @@ fn sigkilled_sweep_resumes_to_identical_canonical_bench_json() {
     let _ = child.kill(); // SIGKILL: no cleanup, no final report
     let _ = child.wait();
 
-    let resumed = fig5_cmd(&victim).output().expect("resumed sweep runs");
+    let resumed = figs_cmd(&victim).output().expect("resumed sweep runs");
     assert!(resumed.status.success(), "resumed sweep failed");
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    let resumed_line = stderr
-        .lines()
-        .find(|l| l.starts_with("resume:"))
-        .unwrap_or_else(|| panic!("no resume line in stderr:\n{stderr}"));
-    let cached: usize = resumed_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|n| n.parse().ok())
-        .expect("resume line reports a count");
-    assert!(cached >= 2, "expected >=2 cached rows, got: {resumed_line}");
+    let (cached, _) = resume_counts(&String::from_utf8_lossy(&resumed.stderr));
+    assert!(cached >= 2, "expected >=2 cached runs, got {cached}");
 
     // The resumed report must match the uninterrupted one byte-for-byte
-    // in canonical form (wall-clock and pool-size fields zeroed).
+    // in canonical form (wall-clock and pool-size fields zeroed), and
+    // so must the figure.
     let clean_report = mmt_obs::json::parse_file(bench_path(&clean)).expect("clean BENCH parses");
     let victim_report =
         mmt_obs::json::parse_file(bench_path(&victim)).expect("resumed BENCH parses");
     assert_eq!(canonicalize(&clean_report), canonicalize(&victim_report));
+    let figure = |dir: &Path| std::fs::read_to_string(dir.join("results/fig5a_speedup_2t.txt"));
+    assert_eq!(figure(&clean).unwrap(), figure(&victim).unwrap());
+
+    // With every run cached, a second resume simulates nothing.
+    let again = figs_cmd(&victim).output().expect("second resume runs");
+    assert!(again.status.success(), "second resume failed");
+    let (cached, simulated) = resume_counts(&String::from_utf8_lossy(&again.stderr));
+    assert_eq!((cached, simulated), (completed_points(&victim), 0));
 
     std::fs::remove_dir_all(&clean).unwrap();
     std::fs::remove_dir_all(&victim).unwrap();

@@ -2,7 +2,7 @@
 //! figure data is byte-identical no matter the worker-pool size — only
 //! wall-clock fields (excluded from the canonical form) may differ.
 
-use mmt_bench::sweep::{run_parallel, timed_run, BenchReport, RunTelemetry};
+use mmt_bench::sweep::{run_parallel, BenchReport, RunTelemetry};
 use mmt_bench::{run_app, speedup, SMOKE_SCALE};
 use mmt_sim::MmtLevel;
 use mmt_workloads::app_by_name;
@@ -17,12 +17,14 @@ fn sweep(jobs: usize) -> (Vec<f64>, BenchReport) {
         .collect();
     let t0 = Instant::now();
     let rows = run_parallel(&apps, jobs, |app| {
-        let (base, t_base) = timed_run(format!("{}/base", app.name), || {
-            run_app(app, 2, MmtLevel::Base, SMOKE_SCALE)
-        });
-        let (fxr, t_fxr) = timed_run(format!("{}/fxr", app.name), || {
-            run_app(app, 2, MmtLevel::Fxr, SMOKE_SCALE)
-        });
+        let timed = |level: MmtLevel| {
+            let start = Instant::now();
+            let stats = run_app(app, 2, level, SMOKE_SCALE).stats;
+            let label = format!("{}/{level:?}", app.name).to_lowercase();
+            let t = RunTelemetry::new(label, start.elapsed(), &stats);
+            (stats, t)
+        };
+        let ((base, t_base), (fxr, t_fxr)) = (timed(MmtLevel::Base), timed(MmtLevel::Fxr));
         (speedup(&base, &fxr), vec![t_base, t_fxr])
     });
     let mut speedups = Vec::new();

@@ -288,6 +288,25 @@ impl SimConfig {
         }
     }
 
+    /// The configuration as the machine at this MMT level can tell it
+    /// apart: fields the level never reads are reset to their paper
+    /// values, so two configs with equal `effective()` simulate
+    /// bit-identically. Base (traditional SMT) never fetches merged, so
+    /// the Fetch History Buffer, the LVIP and the merge-alignment gate
+    /// never act on it. Nothing else is normalized:
+    /// `crates/core/tests/effective_config.rs` checks each reset field
+    /// over every suite app.
+    pub fn effective(&self) -> SimConfig {
+        let mut cfg = self.clone();
+        if self.level == MmtLevel::Base {
+            let paper = SimConfig::paper();
+            cfg.fhb_entries = paper.fhb_entries;
+            cfg.lvip_entries = paper.lvip_entries;
+            cfg.merge_alignment_slack = paper.merge_alignment_slack;
+        }
+        cfg
+    }
+
     /// Validate internal consistency.
     ///
     /// # Errors
@@ -363,6 +382,22 @@ mod tests {
         assert!(Fxr.shared_fetch() && Fxr.shared_execute() && Fxr.register_merging());
         assert_eq!(MmtLevel::ALL.len(), 4);
         assert_eq!(Fxr.name(), "MMT-FXR");
+    }
+
+    #[test]
+    fn effective_resets_only_what_base_ignores() {
+        let mut base = SimConfig::paper_with(2, MmtLevel::Base);
+        base.fhb_entries = 8;
+        base.lvip_entries = 64;
+        base.merge_alignment_slack = 16;
+        assert_eq!(base.effective(), SimConfig::paper_with(2, MmtLevel::Base));
+        let fxr = SimConfig {
+            level: MmtLevel::Fxr,
+            ..base.clone()
+        };
+        assert_eq!(fxr.effective(), fxr);
+        base.fetch_width = 16;
+        assert_eq!(base.effective().fetch_width, 16);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct FetchModeCounts {
     /// Fetched in CATCHUP mode (either side of the catch-up).
     pub catchup: u64,
 }
-mmt_obs::impl_to_json! { FetchModeCounts { merge, detect, catchup } }
+mmt_obs::impl_json! { FetchModeCounts { merge, detect, catchup } }
 
 impl FetchModeCounts {
     /// Total thread-instructions fetched.
@@ -66,7 +66,7 @@ pub struct IdentityCounts {
     /// Thread-instructions fetched alone (not identical).
     pub private: u64,
 }
-mmt_obs::impl_to_json! {
+mmt_obs::impl_json! {
     IdentityCounts {
         fetch_identical, execute_identical, execute_identical_regmerge, private
     }
@@ -123,7 +123,7 @@ pub struct PcCounters {
     /// differential gate checks exactly that.
     pub mem_addr_diverged: u64,
 }
-mmt_obs::impl_to_json! {
+mmt_obs::impl_json! {
     PcCounters {
         fetch_merge, fetch_detect, fetch_catchup, exec_merged, exec_split, exec_private,
         lvip_lookups, lvip_hits, lvip_misses, mem_merged, mem_addr_diverged
@@ -200,7 +200,7 @@ pub struct EnergyEvents {
     /// through the filter/chooser).
     pub split_evals: u64,
 }
-mmt_obs::impl_to_json! {
+mmt_obs::impl_json! {
     EnergyEvents {
         cycles, icache_accesses, dcache_accesses, l2_accesses, dram_accesses, renames, executions,
         regfile_reads, regfile_writes, commits, bpred_accesses, fhb_ops, rst_updates, lvip_lookups,
@@ -271,7 +271,7 @@ pub struct SimStats {
     /// program-sized allocation plus a counter bump per slot).
     pub pc_profile: Vec<PcCounters>,
 }
-mmt_obs::impl_to_json! {
+mmt_obs::impl_json! {
     SimStats {
         cycles, retired_per_thread, macro_ops_fetched, uops_dispatched, uops_executed, fetch_modes,
         identity, branches, branch_mispredicts, lvip_lookups, lvip_mispredicts, divergences,
@@ -356,6 +356,33 @@ mod tests {
         assert_eq!(s.remerge_branch_histogram[6], 1);
         assert!((s.remerges_within(16) - 0.5).abs() < 1e-12);
         assert!((s.remerges_within(512) - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stats_round_trip_through_json() {
+        use mmt_obs::json::FromJson;
+        let mut s = SimStats {
+            cycles: 1 << 40,
+            retired_per_thread: vec![3, 5],
+            divergences: 7,
+            ..SimStats::default()
+        };
+        s.identity.execute_identical_regmerge = 11;
+        s.fetch_modes.catchup = 13;
+        s.l2.misses = 17;
+        s.energy.split_evals = 19;
+        s.record_remerge_distance(600);
+        s.pc_profile = vec![
+            PcCounters::default(),
+            PcCounters {
+                mem_addr_diverged: 23,
+                ..Default::default()
+            },
+        ];
+        let text = mmt_obs::json::to_json(&s);
+        let back = SimStats::from_json(&mmt_obs::json::parse(&text).unwrap()).expect("round trip");
+        assert_eq!(mmt_obs::json::to_json(&back), text);
+        assert!(SimStats::from_json(&mmt_obs::json::parse("{\"cycles\":1}").unwrap()).is_none());
     }
 
     #[test]

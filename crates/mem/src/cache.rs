@@ -62,7 +62,7 @@ pub struct CacheStats {
     /// Accesses that missed.
     pub misses: u64,
 }
-mmt_obs::impl_to_json! { CacheStats { accesses, hits, misses } }
+mmt_obs::impl_json! { CacheStats { accesses, hits, misses } }
 
 impl CacheStats {
     /// Miss ratio in `[0, 1]`; zero when no accesses occurred.

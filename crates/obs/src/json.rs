@@ -283,6 +283,80 @@ impl ToJson for Value {
     }
 }
 
+/// The inverse of [`ToJson`] for report types that are read back (a
+/// resume cache): `None` on a missing field or a value of the wrong
+/// shape. Numbers pass through the reader's `f64`, so integers round-trip
+/// exactly only below 2^53 — true of every counter in the workspace.
+pub trait FromJson: Sized {
+    /// Rebuild a value from its parsed JSON.
+    fn from_json(v: &Value) -> Option<Self>;
+}
+
+impl FromJson for u64 {
+    /// Rejects negative, fractional and out-of-range numbers rather
+    /// than truncating them.
+    fn from_json(v: &Value) -> Option<u64> {
+        let n = v.as_f64()?;
+        (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(v: &Value) -> Option<f64> {
+        v.as_f64()
+    }
+}
+
+impl FromJson for String {
+    fn from_json(v: &Value) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &Value) -> Option<Vec<T>> {
+        v.as_array()?.iter().map(T::from_json).collect()
+    }
+}
+
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(v: &Value) -> Option<[T; N]> {
+        Vec::<T>::from_json(v)?.try_into().ok()
+    }
+}
+
+/// [`impl_to_json!`](crate::impl_to_json) plus the matching
+/// [`FromJson`](crate::json::FromJson), for structs that are read back:
+///
+/// ```
+/// use mmt_obs::json::{parse, to_json, FromJson};
+/// #[derive(Debug, PartialEq)]
+/// struct Point {
+///     x: u64,
+///     label: String,
+/// }
+/// mmt_obs::impl_json! { Point { x, label } }
+///
+/// let p = Point { x: 1, label: "a".into() };
+/// let back = Point::from_json(&parse(&to_json(&p)).unwrap());
+/// assert_eq!(back, Some(p));
+/// ```
+#[macro_export]
+macro_rules! impl_json {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        $crate::impl_to_json! { $ty { $($field),* } }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Value) -> ::core::option::Option<Self> {
+                ::core::option::Option::Some($ty {
+                    $($field: $crate::json::FromJson::from_json(
+                        v.get(::core::stringify!($field))?,
+                    )?),*
+                })
+            }
+        }
+    };
+}
+
 /// Implement [`ToJson`](crate::json::ToJson) for a named-field struct as
 /// a JSON object with one member per listed field, in list order:
 ///
@@ -810,11 +884,30 @@ mod tests {
         assert_eq!(out, r#"{"a":1,"b":"two","c":[3]}"#);
     }
 
+    #[derive(Debug, PartialEq)]
     struct Window {
         start: u64,
         label: String,
     }
-    crate::impl_to_json! { Window { start, label } }
+    crate::impl_json! { Window { start, label } }
+
+    #[test]
+    fn from_json_reads_back_and_rejects_malformed_counters() {
+        let w = Window {
+            start: 1 << 52,
+            label: "caf\u{e9}".into(),
+        };
+        assert_eq!(Window::from_json(&parse(&to_json(&w)).unwrap()), Some(w));
+        for bad in [
+            r#"{"start":-1,"label":"x"}"#,
+            r#"{"start":1.5,"label":"x"}"#,
+            r#"{"start":"1","label":"x"}"#,
+            r#"{"label":"x"}"#,
+        ] {
+            assert_eq!(Window::from_json(&parse(bad).unwrap()), None, "{bad}");
+        }
+        assert_eq!(<[u64; 2]>::from_json(&parse("[1,2,3]").unwrap()), None);
+    }
 
     struct Estimate {
         zeta: u64,
