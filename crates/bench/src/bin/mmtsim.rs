@@ -42,7 +42,7 @@
 //! | `--sample-measure N`  | `1500` | measured instructions per window |
 
 use mmt_bench::cli::{fail_run, fail_usage, format_json_arg, scale_arg};
-use mmt_bench::sample::{run_sampled, run_sampled_profiled, SampleConfig};
+use mmt_bench::sample::{run_sampled, run_sampled_profiled, tier_seconds, SampleConfig};
 use mmt_bench::{arg_value, to_run_spec, FULL_SCALE};
 use mmt_energy::EnergyModel;
 use mmt_obs::json::{ObjectWriter, ToJson};
@@ -102,18 +102,18 @@ fn main() {
         let sample = sample_config(&args, json);
         for app in &apps {
             let (cfg, w, level_label) = configure(app, &level_name, threads, scale, &args, json);
-            let est = if metrics_path.is_some() {
+            let (est, snap) = if metrics_path.is_some() {
                 let (est, snap) = run_sampled_profiled(&cfg, &to_run_spec(w), &sample);
-                absorb(Some(snap));
-                est
+                (est, Some(snap))
             } else {
-                run_sampled(&cfg, &to_run_spec(w), &sample)
+                (run_sampled(&cfg, &to_run_spec(w), &sample), None)
             };
             if json {
                 print_json_line(app.name, &level_label, threads, "sampled", &est);
             } else {
-                print_sampled(app, &level_label, &est);
+                print_sampled(app, &level_label, &est, snap.as_ref());
             }
+            absorb(snap);
         }
         if let Some(path) = &metrics_path {
             write_metrics(path, metrics, json);
@@ -399,7 +399,13 @@ fn resume_run(cfg: SimConfig, w: WorkloadInstance, path: &str, json: bool) -> Si
         .unwrap_or_else(|e| fail_run(json, format!("simulation failed: {e}")))
 }
 
-fn print_sampled(app: &App, level: &str, est: &mmt_bench::sample::SampledEstimate) {
+/// `snap`, when the run was profiled, adds its per-tier wall-clock.
+fn print_sampled(
+    app: &App,
+    level: &str,
+    est: &mmt_bench::sample::SampledEstimate,
+    snap: Option<&MetricsSnapshot>,
+) {
     println!(
         "{} [{}] sampled ({} windows, {:.1}% detailed):",
         app.name,
@@ -415,11 +421,23 @@ fn print_sampled(app: &App, level: &str, est: &mmt_bench::sample::SampledEstimat
         est.total_insts
     );
     println!(
-        "  merge fraction {:>5.1}%   measured {} insts / {} cycles in windows\n",
+        "  merge fraction {:>5.1}%   measured {} insts / {} cycles in windows",
         est.merge_fraction * 100.0,
         est.measured_insts,
         est.measured_cycles
     );
+    if let Some(snap) = snap {
+        let wall = |tier| tier_seconds(snap, tier).unwrap_or((0, 0.0));
+        let (windows, handoff) = wall("handoff");
+        println!(
+            "  wall: detailed {:.4} s (handoff {:.4} s, {:.1} us/window)   ffwd {:.4} s",
+            wall("detailed").1,
+            handoff,
+            handoff * 1e6 / windows.max(1) as f64,
+            wall("ffwd").1
+        );
+    }
+    println!();
 }
 
 fn print_human(app: &App, level: &str, r: &SimResult) {

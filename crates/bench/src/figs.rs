@@ -28,7 +28,7 @@ use mmt_obs::json::FromJson;
 use mmt_profile::{collect_trace, profile_pair, RedundancyProfile, DIVERGENCE_BUCKETS};
 use mmt_sim::config::{FetchPolicy, SyncPolicy};
 use mmt_sim::hw_cost::{total_storage_bits, TABLE3};
-use mmt_sim::snapshot::{config_digest, Fnv};
+use mmt_sim::snapshot::{config_digest, Fnv, MODEL_DIGEST};
 use mmt_sim::{FetchStyle, MmtLevel, SimConfig, SimStats, Simulator};
 use mmt_workloads::{all_apps, App, WorkloadInstance};
 use std::cell::{OnceCell, RefCell};
@@ -79,6 +79,14 @@ impl Run {
     /// The run's [`RunKey`].
     fn key(&self) -> RunKey {
         (self.workload.digest, config_digest(&self.cfg.effective()))
+    }
+
+    /// The run's resume-cache entry under timing model `model`: the
+    /// [`RunKey`] prefixed with the model fingerprint, so entries
+    /// written by a simulator whose results differ are never read back.
+    fn cache_key(&self, model: u64) -> String {
+        let (spec, config) = self.key();
+        format!("{model:016x}-{spec:016x}-{config:016x}")
     }
 }
 
@@ -787,7 +795,8 @@ pub struct Options {
     pub scale: u64,
     /// Worker-pool size.
     pub jobs: usize,
-    /// Per-run result cache, keyed by run-spec and effective-config digest.
+    /// Per-run result cache, keyed by timing-model, run-spec and
+    /// effective-config digest.
     pub resume: Option<ResumeDir>,
     /// Where Figure 5(a)/(c)'s MMT-FXR runs drop pipeline traces.
     pub trace_dir: Option<PathBuf>,
@@ -809,8 +818,7 @@ fn execute(
     cache: Option<&ResumeDir>,
     trace_dir: Option<&Path>,
 ) -> Result<(Finished, bool), String> {
-    let (spec, config) = run.key();
-    let key = format!("{spec:016x}-{config:016x}");
+    let key = run.cache_key(MODEL_DIGEST);
     if let Some(mut hit) = cache.and_then(|c| Finished::from_json(&c.load(&key)?)) {
         // The key names the simulation, not the figure that first asked.
         hit.telemetry.label = run.label.clone();
@@ -1017,6 +1025,37 @@ mod tests {
             }
         }
         assert_eq!((keys.len(), requested), (30 * 16, 46 * 16));
+    }
+
+    #[test]
+    fn resume_entries_of_another_model_are_simulated_again() {
+        let cx = Ctx::new(SMOKE_SCALE, 1);
+        let r = run(&cx.native(&cx.apps[0], 2), "", MmtLevel::Base, |_| {});
+        let dir = std::env::temp_dir().join(format!("mmt-figs-model-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResumeDir::open(&dir).unwrap();
+        let (fresh, hit) = execute(&r, Some(&cache), None).unwrap();
+        assert!(!hit);
+        // What an older model would have left: other statistics, stored
+        // under its own fingerprint only.
+        std::fs::remove_file(dir.join(format!("{}.point.json", r.cache_key(MODEL_DIGEST))))
+            .unwrap();
+        let mut stale = fresh.stats.clone();
+        stale.cycles += 1;
+        let old = Finished {
+            telemetry: RunTelemetry::new(r.label.clone(), Duration::ZERO, &stale),
+            stats: stale,
+        };
+        cache.store(&r.cache_key(MODEL_DIGEST ^ 1), &old).unwrap();
+        let (again, hit) = execute(&r, Some(&cache), None).unwrap();
+        assert!(!hit, "an entry of another model was served");
+        let same = |a: &SimStats| format!("{a:?}") == format!("{:?}", fresh.stats);
+        assert!(same(&again.stats));
+        // The run just stored under the current model is served.
+        let (cached, hit) = execute(&r, Some(&cache), None).unwrap();
+        assert!(hit);
+        assert!(same(&cached.stats));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -156,9 +156,15 @@ impl SampledEstimate {
 /// `mmt_stage_seconds` snapshots of the inner window simulators when
 /// `SimConfig::metrics` is enabled — so one snapshot answers "where did
 /// the wall-clock of this two-speed run actually go".
+///
+/// A third series, `tier="handoff"`, holds one observation per detailed
+/// window: the time spent in [`Simulator::from_arch_warmed`] and
+/// [`Simulator::into_arch_warmed`]. It is a part of the `detailed` tier,
+/// not an interval of its own, so it adds nothing to the switch count.
 pub struct TierProfiler {
     registry: MetricsRegistry,
     detailed: HistogramId,
+    handoff: HistogramId,
     ffwd: HistogramId,
     switches: mmt_obs::CounterId,
     inner: Option<MetricsSnapshot>,
@@ -176,6 +182,12 @@ impl TierProfiler {
             &[("tier", "detailed")],
             &bounds,
         );
+        let handoff = registry.histogram(
+            "mmt_tier_wall_seconds",
+            help,
+            &[("tier", "handoff")],
+            &bounds,
+        );
         let ffwd = registry.histogram("mmt_tier_wall_seconds", help, &[("tier", "ffwd")], &bounds);
         let switches = registry.counter(
             "mmt_tier_switches_total",
@@ -185,6 +197,7 @@ impl TierProfiler {
         TierProfiler {
             registry,
             detailed,
+            handoff,
             ffwd,
             switches,
             inner: None,
@@ -212,6 +225,21 @@ impl TierProfiler {
         }
         snap
     }
+}
+
+/// The `(observations, seconds)` of tier `tier` in a [`TierProfiler`]
+/// snapshot, or `None` when the snapshot has no such tier.
+pub fn tier_seconds(snap: &MetricsSnapshot, tier: &str) -> Option<(u64, f64)> {
+    snap.series
+        .iter()
+        .filter(|s| {
+            s.name == "mmt_tier_wall_seconds"
+                && s.labels.iter().any(|(k, v)| k == "tier" && v == tier)
+        })
+        .find_map(|s| match s.value {
+            mmt_obs::SeriesValue::Histogram { count, sum, .. } => Some((count, sum)),
+            _ => None,
+        })
 }
 
 impl Default for TierProfiler {
@@ -274,6 +302,7 @@ fn run_sampled_inner(
         let mut sim =
             Simulator::from_arch_warmed(cfg.clone(), spec.program.clone(), state, hierarchy)
                 .expect("sampled handoff accepts the architectural state");
+        let entry_wall = window_wall.elapsed();
         let window_start = sim.instructions_fetched();
         let warm_target = window_start + sample.warmup;
         while !sim.finished() && sim.instructions_fetched() < warm_target {
@@ -307,8 +336,11 @@ fn run_sampled_inner(
             let snap = sim.metrics_snapshot();
             p.absorb(snap);
         }
+        let exit_wall = Instant::now();
         (state, hierarchy) = sim.into_arch_warmed();
         if let Some(p) = profiler.as_mut() {
+            let handoff = entry_wall + exit_wall.elapsed();
+            p.registry.observe(p.handoff, handoff.as_secs_f64());
             let detailed = p.detailed;
             p.observe(detailed, window_wall.elapsed());
         }
@@ -458,23 +490,26 @@ mod tests {
             max_windows: 4_096,
         };
         let (est, snap) = run_sampled_profiled(&cfg, &spec, &sample);
-        let hist_count = |tier: &str| {
-            snap.series
-                .iter()
-                .find(|s| {
-                    s.name == "mmt_tier_wall_seconds"
-                        && s.labels.iter().any(|(k, v)| k == "tier" && v == tier)
-                })
-                .map(|s| match &s.value {
-                    mmt_obs::SeriesValue::Histogram { count, .. } => *count,
-                    v => panic!("tier series is not a histogram: {v:?}"),
-                })
-                .expect("tier series registered")
-        };
+        let hist_count = |tier: &str| tier_seconds(&snap, tier).expect("tier series registered").0;
         // One observation per detailed window entry (the final window
         // can end the run) and at least one skip/tail interval.
         assert_eq!(hist_count("detailed"), est.windows.len() as u64);
         assert!(hist_count("ffwd") >= 1);
+        // The handoff is timed once per window, inside the detailed
+        // tier, and is not a mode switch of its own.
+        assert_eq!(hist_count("handoff"), hist_count("detailed"));
+        let wall = |tier: &str| tier_seconds(&snap, tier).unwrap().1;
+        assert!(wall("handoff") <= wall("detailed"));
+        let switches = snap
+            .series
+            .iter()
+            .find(|s| s.name == "mmt_tier_switches_total")
+            .map(|s| s.value.clone())
+            .expect("switch counter registered");
+        assert_eq!(
+            switches,
+            mmt_obs::SeriesValue::Counter(hist_count("detailed") + hist_count("ffwd"))
+        );
         // The inner window sims' stage profile was absorbed.
         let stage_cycles: u64 = snap
             .series

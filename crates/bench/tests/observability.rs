@@ -143,3 +143,30 @@ fn gate_bin_emits_progress_jsonl_and_a_valid_ledger_record() {
     assert!(records[0].sim_cycles_per_sec > 0.0, "{:?}", records[0]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn mmtsim_sampled_run_reports_the_handoff_tier() {
+    let dir = fresh_dir("tiers");
+    let metrics = dir.join("tiers.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_mmtsim"))
+        .args(["--app", "fft", "--threads", "2", "--scale", "16"])
+        .arg("--sample")
+        .arg("--metrics")
+        .arg(&metrics)
+        .output()
+        .expect("mmtsim runs");
+    assert!(out.status.success(), "mmtsim failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("(handoff ") && stdout.contains(" us/window)"),
+        "{stdout}"
+    );
+    // The snapshot carries the handoff series next to the other tiers.
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    for tier in ["detailed", "handoff", "ffwd"] {
+        assert!(
+            text.contains(&format!("\"{tier}\"")),
+            "no {tier} tier: {text}"
+        );
+    }
+}

@@ -79,20 +79,27 @@ impl Lvip {
         &self.entries
     }
 
-    /// Overwrite the table contents from a checkpoint. The lifetime
-    /// lookup/mispredict counters are *not* restored — a resumed run
-    /// reports statistics for the resumed portion only.
+    /// Replace the table contents with a checkpoint's, moving them in.
+    /// The lifetime lookup/mispredict counters are *not* restored — a
+    /// resumed run reports statistics for the resumed portion only.
     ///
     /// # Panics
     ///
     /// Panics if `entries` does not match the configured table size.
-    pub fn restore_entries(&mut self, entries: &[Option<u64>]) {
+    pub fn restore_entries(&mut self, entries: Vec<Option<u64>>) {
         assert_eq!(
             entries.len(),
             self.entries.len(),
             "LVIP snapshot size mismatch"
         );
-        self.entries.copy_from_slice(entries);
+        self.entries = entries;
+    }
+
+    /// Move the table contents out, leaving an empty table: the
+    /// by-value counterpart of [`Lvip::entries`] for a simulator that
+    /// is being consumed.
+    pub(crate) fn take_entries(&mut self) -> Vec<Option<u64>> {
+        std::mem::take(&mut self.entries)
     }
 
     /// Fault-injection hook: XOR `bits` into slot `slot`'s remembered

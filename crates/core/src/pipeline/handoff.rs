@@ -83,10 +83,17 @@ impl Simulator {
     /// This is the mode-handoff payload — serializable via
     /// [`ArchState::to_json`] and executable by [`crate::Ffwd`].
     pub fn arch_state(&self) -> ArchState {
-        self.arch_with(self.memories.iter().map(MemArch::from_memory).collect())
+        let mut state = self.arch_with(self.memories.iter().map(MemArch::from_memory).collect());
+        // Copied last, after the thread list: allocating these 64 KiB
+        // before it moved glibc's heap trim point, so that the next
+        // run's input generation page-faulted afresh (membound
+        // `setup_s` 0.004 -> 0.010 s).
+        state.lvip = Some(self.lvip.entries().to_vec());
+        state
     }
 
-    /// [`Simulator::arch_state`] over already-captured memory images.
+    /// [`Simulator::arch_state`] over already-captured memory images,
+    /// without the LVIP table: each caller fills `lvip` its own way.
     fn arch_with(&self, memories: Vec<MemArch>) -> ArchState {
         ArchState {
             cycle: self.now,
@@ -99,23 +106,25 @@ impl Simulator {
                 .collect(),
             memories,
             rst: Some(self.rst.entries_raw()),
-            lvip: Some(self.lvip.entries().to_vec()),
+            lvip: None,
         }
     }
 
     /// End a detailed window: the architectural state (as
     /// [`Simulator::arch_state`]) and the memory hierarchy, both moved
     /// out so fast-forward can continue on them without copying a memory
-    /// image. The counterpart of [`Simulator::from_arch_warmed`], which
-    /// quiesces the hierarchy on the way back in; functional warming
-    /// never reads fill timing, so one quiesce per detailed entry
-    /// suffices.
+    /// image or the LVIP table. The counterpart of
+    /// [`Simulator::from_arch_warmed`], which quiesces the hierarchy on
+    /// the way back in; functional warming never reads fill timing, so
+    /// one quiesce per detailed entry suffices.
     pub fn into_arch_warmed(mut self) -> (ArchState, mmt_mem::MemoryHierarchy) {
         let memories = std::mem::take(&mut self.memories)
             .into_iter()
             .map(MemArch::from)
             .collect();
-        (self.arch_with(memories), self.hierarchy)
+        let mut state = self.arch_with(memories);
+        state.lvip = Some(self.lvip.take_entries());
+        (state, self.hierarchy)
     }
 
     /// Build a simulator that starts from a checkpointed architectural
@@ -147,10 +156,12 @@ impl Simulator {
     }
 
     /// [`Simulator::from_arch`] with a functionally-warmed memory
-    /// hierarchy transplanted in (quiesced first, since this simulator's
-    /// cycle clock starts at zero). The sampled runner threads one
-    /// hierarchy through fast-forward warming and detailed windows so
-    /// cache contents stay continuous across mode switches.
+    /// hierarchy transplanted in. It is quiesced first, since this
+    /// simulator's cycle clock starts at zero: resident lines become
+    /// ready at once and the MSHRs drain. That costs O(1), not a walk
+    /// of the caches ([`mmt_mem::Cache::quiesce`]). The sampled runner
+    /// threads one hierarchy through fast-forward warming and detailed
+    /// windows so cache contents stay continuous across mode switches.
     ///
     /// # Errors
     ///
@@ -264,7 +275,7 @@ impl Simulator {
                 sim.rst.restore_raw(&raw);
             }
         }
-        if let Some(lvip) = &lvip {
+        if let Some(lvip) = lvip {
             // Warm LVIP state only transfers between equally-sized
             // tables; otherwise start cold (a prediction-quality detail,
             // never a correctness one).

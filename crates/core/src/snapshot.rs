@@ -186,6 +186,14 @@ pub struct ArchState {
     pub lvip: Option<Vec<Option<u64>>>,
 }
 
+/// Fingerprint of the timing model: the FNV-1a of the golden digests in
+/// `crates/core/tests/equivalence.rs`, which asserts the two agree. A
+/// change that moves any simulated result re-captures those goldens and
+/// must bump this constant with them; result caches keyed by it
+/// (`mmtfigs --resume-dir`) then miss instead of serving statistics of
+/// the old model.
+pub const MODEL_DIGEST: u64 = 0xa111_c935_b54f_faee;
+
 /// Digest a configuration for checkpoint provenance checks.
 pub fn config_digest(cfg: &SimConfig) -> u64 {
     let mut h = Fnv::new();

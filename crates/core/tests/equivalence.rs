@@ -17,6 +17,7 @@
 //! stalled stretches, and fft at the lower MMT levels covers the
 //! configurations without shared execution or register merging.
 
+use mmt_sim::snapshot::MODEL_DIGEST;
 use mmt_sim::{MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
 use mmt_workloads::app_by_name;
 
@@ -202,6 +203,22 @@ fn outputs_bit_identical_to_pre_overhaul_goldens() {
         failures.is_empty(),
         "simulation output drifted from the pre-overhaul implementation:\n{}",
         failures.join("\n")
+    );
+}
+
+/// [`MODEL_DIGEST`] is the digest of the golden table above, so a change
+/// that re-captures a golden cannot forget to bump it (and with it the
+/// key of every `mmtfigs --resume-dir` cache entry).
+#[test]
+fn model_digest_is_the_golden_tables_digest() {
+    let mut h = Fnv::new();
+    for &(.., golden) in GOLDENS {
+        h.put_u64(golden);
+    }
+    assert_eq!(
+        h.0, MODEL_DIGEST,
+        "golden table digest {:#018x}: bump mmt_sim::snapshot::MODEL_DIGEST to it",
+        h.0
     );
 }
 

@@ -79,12 +79,19 @@ impl CacheStats {
 struct Line {
     tag: u64,
     valid: bool,
+    /// The cache epoch in which `ready_at` was written. A stamp older
+    /// than the cache's current epoch means a [`Cache::quiesce`] came
+    /// since, and the line reads as ready at once.
+    epoch: u32,
     last_used: u64,
     /// Cycle at which the line's fill completes (0 for long-resident
     /// lines). A hit on a line still in flight is a hit-under-fill: the
     /// data is available only when the fill arrives.
     ready_at: u64,
 }
+
+// The epoch stamp rides in the padding after `valid`.
+const _: () = assert!(std::mem::size_of::<Line>() == 32);
 
 /// Outcome of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +137,9 @@ pub struct Cache {
     line_shift: u32,
     stats: CacheStats,
     tick: u64,
+    /// Bumped by [`Cache::quiesce`]; fill times stamped in an older
+    /// epoch are void.
+    epoch: u32,
 }
 
 impl Cache {
@@ -147,6 +157,7 @@ impl Cache {
                     Line {
                         tag: 0,
                         valid: false,
+                        epoch: 0,
                         last_used: 0,
                         ready_at: 0,
                     };
@@ -158,6 +169,7 @@ impl Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             stats: CacheStats::default(),
             tick: 0,
+            epoch: 0,
         }
     }
 
@@ -168,7 +180,9 @@ impl Cache {
 
     /// Access `addr` (byte address) at cycle `now`. Misses allocate the
     /// line (evicting the LRU way) and leave it in flight until
-    /// [`Cache::set_fill_time`] reports when the fill lands.
+    /// [`Cache::set_fill_time`] reports when the fill lands. A hit waits
+    /// for the line's fill only if that fill time was stamped after the
+    /// last [`Cache::quiesce`].
     pub fn access(&mut self, addr: u64, now: u64) -> Lookup {
         // A strictly increasing tick breaks LRU ties between same-cycle
         // accesses deterministically.
@@ -183,8 +197,13 @@ impl Cache {
         if let Some(way) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             way.last_used = self.tick;
             self.stats.hits += 1;
+            let fill = if way.epoch == self.epoch {
+                way.ready_at
+            } else {
+                0
+            };
             return Lookup::Hit {
-                ready_at: (now + hit_latency).max(way.ready_at),
+                ready_at: (now + hit_latency).max(fill),
             };
         }
         self.stats.misses += 1;
@@ -196,6 +215,7 @@ impl Cache {
         victim.tag = tag;
         victim.valid = true;
         victim.last_used = self.tick;
+        victim.epoch = self.epoch;
         victim.ready_at = u64::MAX; // in flight until set_fill_time
         Lookup::Miss
     }
@@ -210,6 +230,7 @@ impl Cache {
             .iter_mut()
             .find(|l| l.valid && l.tag == tag)
         {
+            way.epoch = self.epoch;
             way.ready_at = ready_at;
         }
     }
@@ -244,11 +265,24 @@ impl Cache {
     /// in-flight fill timing. Needed when a warmed cache crosses a mode
     /// switch where the cycle clock restarts (absolute `ready_at` times
     /// from the old clock would read as fills far in the future).
+    /// Residency, LRU order and statistics are kept.
+    ///
+    /// O(1): it starts a new epoch, which voids every fill time stamped
+    /// before it (see [`Cache::access`]). Only when the 32-bit epoch
+    /// wraps to 0, once per 2^32 calls, does it walk the lines and zero
+    /// their fill times, so no stamp from an earlier lap reads as
+    /// current.
     pub fn quiesce(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.ready_at = 0;
-            }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.zero_fill_times();
+        }
+    }
+
+    /// The per-line quiesce: forget every fill time.
+    fn zero_fill_times(&mut self) {
+        for line in self.sets.iter_mut().flatten() {
+            line.ready_at = 0;
         }
     }
 
@@ -275,6 +309,12 @@ impl Cache {
         }
         self.stats = CacheStats::default();
         self.tick = 0;
+    }
+
+    /// Jump to epoch `epoch`, so a test reaches the wrap in one step.
+    #[cfg(test)]
+    fn set_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
     }
 }
 
@@ -399,6 +439,160 @@ mod tests {
             assert_eq!(hit(&mut c1, addr, 0), hit(&mut c2, addr, 0));
         }
         assert_eq!(c1.stats(), c2.stats());
+    }
+
+    #[test]
+    fn quiesce_makes_in_flight_and_future_lines_ready() {
+        let mut c = tiny();
+        // Missed but never filled (in flight forever) ...
+        assert_eq!(c.access(0, 0), Lookup::Miss);
+        // ... and filled far in the future on the old clock.
+        assert_eq!(c.access(64, 0), Lookup::Miss);
+        c.set_fill_time(64, 1_000_000);
+        c.quiesce();
+        // The new clock starts at 0: both are plain hits.
+        assert_eq!(c.access(0, 0), Lookup::Hit { ready_at: 1 });
+        assert_eq!(c.access(64, 0), Lookup::Hit { ready_at: 1 });
+        assert_eq!(c.access(32, 7), Lookup::Hit { ready_at: 8 });
+    }
+
+    #[test]
+    fn fills_after_quiesce_keep_their_time() {
+        let mut c = tiny();
+        assert_eq!(c.access(0, 0), Lookup::Miss);
+        c.set_fill_time(0, 1_000_000);
+        c.quiesce();
+        // A fill reported after the switch (here: re-reported for the
+        // same line) is the line's fill time again.
+        c.set_fill_time(0, 500);
+        assert_eq!(c.access(0, 10), Lookup::Hit { ready_at: 500 });
+        // A miss taken after the switch waits for its fill as usual.
+        assert_eq!(c.access(64, 20), Lookup::Miss);
+        assert_eq!(c.access(64, 21), Lookup::Hit { ready_at: u64::MAX });
+        c.set_fill_time(64, 300);
+        assert_eq!(c.access(64, 22), Lookup::Hit { ready_at: 300 });
+        // Until the next switch.
+        c.quiesce();
+        assert_eq!(c.access(0, 3), Lookup::Hit { ready_at: 4 });
+        assert_eq!(c.access(64, 3), Lookup::Hit { ready_at: 4 });
+    }
+
+    #[test]
+    fn quiesce_keeps_stats_and_lru() {
+        let mut c = tiny();
+        let (a, b, d) = (0u64, 128, 256); // all in set 0
+        for (addr, now) in [(a, 0), (b, 1)] {
+            assert_eq!(c.access(addr, now), Lookup::Miss);
+            c.set_fill_time(addr, 900);
+        }
+        assert_eq!(c.access(a, 2), Lookup::Hit { ready_at: 900 }); // b is LRU
+        let stats = c.stats();
+        c.quiesce();
+        assert_eq!(c.stats(), stats);
+        assert!(c.probe(a) && c.probe(b));
+        assert_eq!(c.stats(), stats, "probe counts nothing");
+        // Timing is forgotten, recency is not: d evicts b, a stays.
+        assert_eq!(c.access(d, 3), Lookup::Miss);
+        assert!(c.probe(a) && !c.probe(b));
+        assert_eq!(c.access(a, 4), Lookup::Hit { ready_at: 5 });
+    }
+
+    #[test]
+    fn quiesce_walks_the_lines_when_the_epoch_wraps() {
+        let mut c = tiny();
+        // Filled in epoch 0, far in the future.
+        assert_eq!(c.access(0, 0), Lookup::Miss);
+        c.set_fill_time(0, 1_000_000);
+        c.set_epoch(u32::MAX);
+        // Filled in the last epoch before the wrap.
+        assert_eq!(c.access(64, 0), Lookup::Miss);
+        c.set_fill_time(64, 1_000_000);
+        assert_eq!(
+            c.access(64, 1),
+            Lookup::Hit {
+                ready_at: 1_000_000
+            }
+        );
+        c.quiesce();
+        // Back in epoch 0, where line 0's stamp was written 2^32
+        // switches ago: only the walk keeps it from reading as current.
+        assert_eq!(c.access(0, 5), Lookup::Hit { ready_at: 6 });
+        assert_eq!(c.access(64, 5), Lookup::Hit { ready_at: 6 });
+    }
+
+    /// Seeded differential test: the epoch cache against a reference
+    /// whose quiesce walks every line (the pre-epoch implementation),
+    /// over random accesses, fill reports, warms and quiesces on a tiny
+    /// cache. Half the seeds jump to a few epochs before the wrap.
+    #[test]
+    fn epoch_quiesce_matches_a_walking_reference() {
+        fn next(state: &mut u64) -> u64 {
+            // splitmix64
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        let cfg = CacheConfig {
+            size_bytes: 512,
+            assoc: 2,
+            line_bytes: 64,
+            latency: 2,
+        };
+        let mut quiesces = 0;
+        for seed in 0..64u64 {
+            let mut rng = seed;
+            let mut epoch = Cache::new(cfg);
+            let mut reference = Cache::new(cfg);
+            let mut now = 0u64;
+            for step in 0..2_000 {
+                if step == 40 && seed % 2 == 1 {
+                    // Skip to a few quiesces before the wrap, as if
+                    // about 2^32 windows had passed. Lines stamped in
+                    // the first few epochs stay behind and read as
+                    // current again after the wrap unless it walks
+                    // them.
+                    epoch.set_epoch(u32::MAX - (seed % 5) as u32);
+                    reference.zero_fill_times();
+                }
+                // 16 lines over 4 sets: plenty of conflict evictions.
+                let addr = (next(&mut rng) % 16) * 64 + next(&mut rng) % 64;
+                match next(&mut rng) % 16 {
+                    0..=8 => {
+                        let got = epoch.access(addr, now);
+                        let want = reference.access(addr, now);
+                        assert_eq!(got, want, "seed {seed} step {step}: access({addr}, {now})");
+                    }
+                    9..=11 => {
+                        let at = now + next(&mut rng) % 400;
+                        epoch.set_fill_time(addr, at);
+                        reference.set_fill_time(addr, at);
+                    }
+                    12..=13 => {
+                        assert_eq!(
+                            epoch.warm(addr),
+                            reference.warm(addr),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    14 => {
+                        epoch.quiesce();
+                        reference.zero_fill_times();
+                        quiesces += 1;
+                        // The clock restarts, as at a window entry.
+                        now = 0;
+                    }
+                    _ => now += next(&mut rng) % 50,
+                }
+                now += 1;
+            }
+            assert_eq!(epoch.stats(), reference.stats(), "seed {seed}");
+            if seed % 2 == 1 {
+                assert!(epoch.epoch < 1_000, "seed {seed} never wrapped");
+            }
+        }
+        assert!(quiesces > 1_000, "{quiesces} quiesces exercised");
     }
 
     #[test]

@@ -255,7 +255,9 @@ impl MemoryHierarchy {
 
     /// Make every resident line immediately available and drop
     /// outstanding-miss timing, so the hierarchy can cross a mode switch
-    /// where the cycle clock restarts. Statistics are kept.
+    /// where the cycle clock restarts. Residency, LRU order and
+    /// statistics are kept. O(1) in the cache sizes: each cache starts a
+    /// new fill-time epoch ([`Cache::quiesce`]) and the MSHRs drain.
     pub fn quiesce(&mut self) {
         self.l1i.quiesce();
         self.l1d.quiesce();
@@ -364,6 +366,29 @@ mod tests {
         assert!(worst_few > worst_many);
         assert!(few.mshr_stalls() > 0);
         assert_eq!(many.mshr_stalls(), 0);
+    }
+
+    #[test]
+    fn quiesce_drains_mshrs_and_forgets_fill_times() {
+        let mut h = MemoryHierarchy::new(HierarchyConfig {
+            mshrs: 1,
+            prefetch: false,
+            ..HierarchyConfig::paper()
+        });
+        // Holds the only MSHR until cycle 207.
+        assert_eq!(h.access_data(0, 0, 0, false).completes_at, 207);
+        assert_eq!(h.access_inst(0, 1024, 0).completes_at, 207);
+        let (l1d, l2) = (h.l1d_stats(), h.l2_stats());
+        h.quiesce();
+        assert_eq!((h.l1d_stats(), h.l2_stats()), (l1d, l2));
+        // The clock restarts at 0: resident lines hit at hit latency ...
+        let data = h.access_data(0, 0, 0, false);
+        assert_eq!((data.level, data.latency), (HitLevel::L1, 1));
+        let inst = h.access_inst(0, 1024, 0);
+        assert_eq!((inst.level, inst.latency), (HitLevel::L1, 1));
+        // ... and the old miss no longer holds the MSHR.
+        assert_eq!(h.access_data(0, 4096, 0, false).completes_at, 207);
+        assert_eq!(h.mshr_stalls(), 0);
     }
 
     #[test]
