@@ -34,7 +34,7 @@
 use mmt_bench::cli::scale_arg;
 use mmt_bench::{arg_value, run_app_with};
 use mmt_obs::validate_chrome_trace;
-use mmt_sim::{MmtLevel, TraceConfig};
+use mmt_sim::{replay_mismatches, MmtLevel, TraceConfig};
 use mmt_workloads::app_by_name;
 use std::path::PathBuf;
 
@@ -124,29 +124,12 @@ fn main() {
         );
         failed = true;
     } else {
-        let c = trace.replay_counters();
-        let checks: &[(&str, u64, u64)] = &[
-            ("fetch merge", c.fetch_merge, s.fetch_modes.merge),
-            ("fetch detect", c.fetch_detect, s.fetch_modes.detect),
-            ("fetch catchup", c.fetch_catchup, s.fetch_modes.catchup),
-            ("commits", c.commits, s.energy.commits),
-            ("uops dispatched", c.uops_dispatched, s.uops_dispatched),
-            ("total retired", c.total_retired(), s.total_retired()),
-            ("remerges", c.remerges, s.remerges),
-            ("divergences", c.divergences, s.divergences),
-        ];
-        let mut bad = 0;
-        for &(what, got, want) in checks {
-            if got != want {
-                eprintln!("replay MISMATCH: {what} = {got}, SimStats says {want}");
-                bad += 1;
-            }
+        let mismatches = replay_mismatches(s, &trace.replay_counters());
+        for m in &mismatches {
+            eprintln!("replay MISMATCH: {m}");
         }
-        if bad == 0 {
-            println!(
-                "replay OK: {} counters reproduced from the event stream exactly",
-                checks.len()
-            );
+        if mismatches.is_empty() {
+            println!("replay OK: the event stream reproduces SimStats' counters exactly");
         } else {
             failed = true;
         }

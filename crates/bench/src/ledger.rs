@@ -21,7 +21,7 @@ pub const LEDGER_PATH: &str = "results/LEDGER.jsonl";
 /// One ledger line: the who/what/how-fast/did-it-pass of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerRecord {
-    /// The bin that ran (`mmtpredict`, `perfsmoke`, …).
+    /// The bin that ran (`mmtpredict`, `mmtfigs`, …).
     pub tool: String,
     /// Short git revision of the working tree, or `unknown`.
     pub git_rev: String,
@@ -301,7 +301,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("LEDGER.jsonl");
         sample().append_to(&path).unwrap();
-        LedgerRecord::new("perfsmoke", 1, &[4], 1, 9.0, 5e5, 0)
+        LedgerRecord::new("mmtffwd", 1, &[4], 1, 9.0, 5e5, 0)
             .append_to(&path)
             .unwrap();
         let records = read(&path).unwrap();

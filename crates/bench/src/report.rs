@@ -15,16 +15,17 @@
 //! for a tool is compared against the *previous ledger record with the
 //! same config digest*, never against a committed absolute number —
 //! records from a different machine class simply start a new trend line,
-//! so CI speed changes cannot fake a regression. This generalizes
-//! `perfsmoke --check-baseline` (which still guards its own committed
-//! baseline) to every gate bin.
+//! so CI speed changes cannot fake a regression. The trend covers the
+//! committed run history; a change's own speed is checked against its
+//! base commit on one runner by `mmtbench` pairs
+//! (`.github/scripts/bench_pair.sh`).
 
 use crate::ledger::{self, LedgerRecord};
 use mmt_obs::json::{self, ObjectWriter, ToJson, Value};
 use std::path::{Path, PathBuf};
 
 /// Latest throughput below this fraction of the previous comparable
-/// run's is a regression (mirrors perfsmoke's 5% gate).
+/// run's is a regression.
 pub const CPS_REGRESSION_FLOOR: f64 = 0.95;
 
 /// How many trailing runs the sparkline covers.
@@ -354,8 +355,8 @@ mod tests {
     fn steady_throughput_is_ok_and_regression_is_flagged() {
         let dir = temp_dir("trend");
         let path = dir.join("LEDGER.jsonl");
-        record("perfsmoke", 1.0e6, 0).append_to(&path).unwrap();
-        record("perfsmoke", 1.01e6, 0).append_to(&path).unwrap();
+        record("mmtffwd", 1.0e6, 0).append_to(&path).unwrap();
+        record("mmtffwd", 1.01e6, 0).append_to(&path).unwrap();
         let opts = ReportOptions {
             ledger: path.clone(),
             results: dir.join("none"),
@@ -366,7 +367,7 @@ mod tests {
         assert!(report.tools[0].delta_pct.unwrap() > 0.0);
 
         // A >5% drop against the previous comparable run regresses.
-        record("perfsmoke", 0.5e6, 0).append_to(&path).unwrap();
+        record("mmtffwd", 0.5e6, 0).append_to(&path).unwrap();
         let report = build(&opts).unwrap();
         assert!(!report.ok());
         assert!(report.tools[0].verdict.starts_with("REGRESSED"));

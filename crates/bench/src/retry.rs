@@ -1,10 +1,8 @@
 //! Bounded retry with deterministic jittered backoff.
 //!
-//! Two harness features share this policy: `perfsmoke` re-measures when
-//! a throughput reading lands under the committed floor (machine-load
-//! noise clears on retry, real regressions do not), and the supervised
-//! sweep runner ([`crate::sweep::run_supervised`]) re-runs grid points
-//! that panicked or blew their wall-clock deadline. Backoff jitter comes
+//! The supervised sweep runner ([`crate::sweep::run_supervised`]) uses
+//! this policy to re-run grid points that panicked or blew their
+//! wall-clock deadline. Backoff jitter comes
 //! from the seeded [`CampaignRng`] stream, not the wall clock, so a
 //! policy's sleep schedule is reproducible run-over-run.
 

@@ -702,8 +702,8 @@ impl ResumeDir {
     }
 }
 
-/// Serialize any report to `results/BENCH_<name>.json` (shared by the
-/// sweep reports and `perfsmoke`'s custom shape).
+/// Serialize any report to `results/BENCH_<name>.json` (the sweep
+/// reports and the gate bins' own report shapes).
 pub fn write_report(name: &str, report: &impl ToJson) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir)?;

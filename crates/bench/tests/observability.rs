@@ -19,26 +19,19 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// A ledger record with a controlled throughput; everything else (grid,
 /// digest) held constant so runs are trend-comparable.
 fn cps_record(cps: f64) -> LedgerRecord {
-    LedgerRecord::new("perfsmoke", 1, &[2, 4], 1, 50.0, cps, 0)
+    LedgerRecord::new("mmtffwd", 1, &[2, 4], 1, 50.0, cps, 0)
 }
 
 #[test]
 fn committed_ledger_is_schema_clean_and_covers_every_gate_bin() {
     // The repo commits its own run history; every line must validate
-    // against the schema and all six gate/bench bins must have at least
+    // against the schema and all five gate bins must have at least
     // one record (the acceptance criterion for the ledger altitude).
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/LEDGER.jsonl");
     let records = ledger::read(&path)
         .unwrap_or_else(|e| panic!("committed ledger {} invalid: {e}", path.display()));
     assert!(!records.is_empty(), "committed ledger is empty");
-    for tool in [
-        "mmtpredict",
-        "mmtmem",
-        "mmtvalue",
-        "mmtffwd",
-        "mmtfault",
-        "perfsmoke",
-    ] {
+    for tool in ["mmtpredict", "mmtmem", "mmtvalue", "mmtffwd", "mmtfault"] {
         assert!(
             records.iter().any(|r| r.tool == tool),
             "no committed ledger record for {tool}"
@@ -71,7 +64,7 @@ fn mmtreport_check_passes_on_a_clean_ledger_and_fails_on_a_regression() {
     let out = run(true);
     assert!(out.status.success(), "clean ledger failed: {out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("| perfsmoke |"), "{stdout}");
+    assert!(stdout.contains("| mmtffwd |"), "{stdout}");
     assert!(stdout.contains("verdict: ok"), "{stdout}");
     let report = parse(&std::fs::read_to_string(dir.join("results/REPORT.json")).unwrap())
         .expect("REPORT.json is valid JSON");

@@ -73,4 +73,6 @@ pub use mmt_mem::MemoryHierarchy;
 pub use mmt_obs::{MetricsSnapshot, Trace, TraceConfig};
 pub use pipeline::{Checkpoint, RunSpec, SimError, SimResult, Simulator};
 pub use snapshot::{ArchState, MemArch, ThreadArch};
-pub use stats::{EnergyEvents, FetchModeCounts, IdentityCounts, PcCounters, SimStats};
+pub use stats::{
+    replay_mismatches, EnergyEvents, FetchModeCounts, IdentityCounts, PcCounters, SimStats,
+};

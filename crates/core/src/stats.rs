@@ -5,6 +5,7 @@
 
 use mmt_frontend::SyncMode;
 use mmt_mem::CacheStats;
+use mmt_obs::CounterSet;
 
 /// Histogram buckets for "taken branches until remerge" (Section 6.3
 /// reports 90% of remerges within 512 branches; Figure 2 uses
@@ -321,6 +322,50 @@ impl SimStats {
     }
 }
 
+/// The trace-replay differential: each counter the event stream folds
+/// into ([`CounterSet::apply`]) against the same fact in `stats`. The
+/// pipeline keeps the two with different code at the same sites, so a
+/// missing, duplicated or misclassified event shows up here. The per-PC
+/// dispatch profile, a third count of the same uops, is checked only
+/// when it was recorded ([`crate::SimConfig::record_pc_profile`]).
+///
+/// Returns one line per mismatch, led by the field's name; empty when
+/// the stream reproduces the run exactly. A replay is only complete,
+/// and the check only meaningful, when the ring dropped no events.
+pub fn replay_mismatches(stats: &SimStats, c: &CounterSet) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut check = |what: &str, got: u64, want: u64| {
+        if got != want {
+            out.push(format!("{what}: replayed {got}, SimStats says {want}"));
+        }
+    };
+    check("fetch_merge", c.fetch_merge, stats.fetch_modes.merge);
+    check("fetch_detect", c.fetch_detect, stats.fetch_modes.detect);
+    check("fetch_catchup", c.fetch_catchup, stats.fetch_modes.catchup);
+    check("commits", c.commits, stats.energy.commits);
+    check("uops_dispatched", c.uops_dispatched, stats.uops_dispatched);
+    check("remerges", c.remerges, stats.remerges);
+    check("divergences", c.divergences, stats.divergences);
+    for (t, &got) in c.retired.iter().enumerate() {
+        let want = stats.retired_per_thread.get(t).copied().unwrap_or(0);
+        check(&format!("retired[{t}]"), got, want);
+    }
+    let profile = &stats.pc_profile;
+    if !profile.is_empty() {
+        check(
+            "merged_uops (pc_profile)",
+            c.merged_uops,
+            profile.iter().map(|p| p.exec_merged).sum(),
+        );
+        check(
+            "uops_dispatched (pc_profile)",
+            c.uops_dispatched,
+            profile.iter().map(PcCounters::exec_total).sum(),
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,5 +458,94 @@ mod tests {
             private: 3,
         };
         assert_eq!(id.total(), 20);
+    }
+
+    /// Stats and replayed counters that agree on every mapped field,
+    /// each field holding a distinct value.
+    fn agreeing() -> (SimStats, CounterSet) {
+        let mut s = SimStats {
+            retired_per_thread: vec![30, 31],
+            uops_dispatched: 12,
+            divergences: 4,
+            remerges: 3,
+            ..SimStats::default()
+        };
+        s.fetch_modes = FetchModeCounts {
+            merge: 20,
+            detect: 7,
+            catchup: 2,
+        };
+        s.energy.commits = 40;
+        s.pc_profile = vec![
+            PcCounters {
+                exec_merged: 5,
+                exec_split: 2,
+                ..Default::default()
+            },
+            PcCounters {
+                exec_private: 5,
+                ..Default::default()
+            },
+        ];
+        let mut c = CounterSet {
+            fetch_merge: 20,
+            fetch_detect: 7,
+            fetch_catchup: 2,
+            commits: 40,
+            uops_dispatched: 12,
+            merged_uops: 5,
+            remerges: 3,
+            divergences: 4,
+            ..CounterSet::default()
+        };
+        c.retired[..2].copy_from_slice(&[30, 31]);
+        (s, c)
+    }
+
+    #[test]
+    fn replay_mismatches_name_each_mapped_field() {
+        let (s, c) = agreeing();
+        assert_eq!(replay_mismatches(&s, &c), Vec::<String>::new());
+
+        type Perturb = fn(&mut SimStats);
+        let perturbations: &[(&str, Perturb)] = &[
+            ("fetch_merge", |s| s.fetch_modes.merge += 1),
+            ("fetch_detect", |s| s.fetch_modes.detect += 1),
+            ("fetch_catchup", |s| s.fetch_modes.catchup += 1),
+            ("commits", |s| s.energy.commits += 1),
+            ("uops_dispatched", |s| s.uops_dispatched += 1),
+            ("remerges", |s| s.remerges += 1),
+            ("divergences", |s| s.divergences += 1),
+            ("retired[0]", |s| s.retired_per_thread[0] += 1),
+            ("retired[1]", |s| s.retired_per_thread[1] += 1),
+            ("retired[2]", |s| s.retired_per_thread.push(1)),
+            ("merged_uops (pc_profile)", |s| {
+                s.pc_profile[0].exec_merged += 1;
+                s.pc_profile[0].exec_split -= 1;
+            }),
+            ("uops_dispatched (pc_profile)", |s| {
+                s.pc_profile[1].exec_private += 1
+            }),
+        ];
+        for (field, perturb) in perturbations {
+            let mut s = s.clone();
+            perturb(&mut s);
+            let found = replay_mismatches(&s, &c);
+            assert_eq!(found.len(), 1, "{field}: {found:?}");
+            assert!(
+                found[0].starts_with(&format!("{field}: replayed ")),
+                "{field}: {found:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_mismatches_skip_an_unrecorded_profile() {
+        let (mut s, mut c) = agreeing();
+        s.pc_profile.clear();
+        c.merged_uops += 1;
+        assert!(replay_mismatches(&s, &c).is_empty());
+        c.uops_dispatched += 1;
+        assert_eq!(replay_mismatches(&s, &c).len(), 1);
     }
 }

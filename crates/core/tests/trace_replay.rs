@@ -9,7 +9,7 @@
 //! convergent control flow, shared and per-thread memory.
 
 use mmt_obs::TraceConfig;
-use mmt_sim::{MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
+use mmt_sim::{replay_mismatches, MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
 use mmt_workloads::all_apps;
 
 /// Test scale divisor (matches the bench crate's smoke scale).
@@ -55,46 +55,19 @@ fn replayed_counters_match_simstats_on_every_app() {
                 ));
                 continue;
             }
-            let c = trace.replay_counters();
-            let mut check = |what: &str, got: u64, want: u64| {
-                if got != want {
-                    failures.push(format!(
-                        "{} @ {threads}: replayed {what} = {got}, SimStats says {want}",
-                        app.name
-                    ));
-                }
-            };
-            check("fetch_merge", c.fetch_merge, s.fetch_modes.merge);
-            check("fetch_detect", c.fetch_detect, s.fetch_modes.detect);
-            check("fetch_catchup", c.fetch_catchup, s.fetch_modes.catchup);
-            check("fetch_total", c.fetch_total(), s.fetch_modes.total());
-            check("commits", c.commits, s.energy.commits);
-            check("uops_dispatched", c.uops_dispatched, s.uops_dispatched);
-            // The per-PC dispatch profile is a third, independent count
-            // of the same uops.
-            let profile = &s.pc_profile;
-            check(
-                "merged_uops vs pc_profile",
-                c.merged_uops,
-                profile.iter().map(|p| p.exec_merged).sum(),
+            let mismatches = replay_mismatches(s, &trace.replay_counters());
+            failures.extend(
+                mismatches
+                    .into_iter()
+                    .map(|m| format!("{} @ {threads}: {m}", app.name)),
             );
-            check(
-                "uops_dispatched vs pc_profile",
-                c.uops_dispatched,
-                profile.iter().map(|p| p.exec_total()).sum(),
-            );
-            check("remerges", c.remerges, s.remerges);
-            check("divergences", c.divergences, s.divergences);
-            for t in 0..threads {
-                check(
-                    &format!("retired[{t}]"),
-                    c.retired[t],
-                    s.retired_per_thread[t],
-                );
+            // The trace must cover the whole run.
+            if trace.cycles != s.cycles {
+                failures.push(format!(
+                    "{} @ {threads}: trace covers {} cycles, SimStats says {}",
+                    app.name, trace.cycles, s.cycles
+                ));
             }
-            // The live recorder folds with the same CounterSet::apply, so
-            // the recorder's running totals must equal the offline replay.
-            check("windowed cycles", trace.cycles, s.cycles);
         }
     }
     assert!(

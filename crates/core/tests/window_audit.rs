@@ -84,13 +84,13 @@ fn window_series_tiles_the_run_exactly() {
         );
         for t in 0..threads {
             assert_eq!(
-                windows.iter().map(|w| w.retired[t]).sum::<u64>(),
+                windows.iter().map(|w| w.delta.retired[t]).sum::<u64>(),
                 result.stats.retired_per_thread[t],
                 "{app}: thread {t} retired instructions lost at a window seam"
             );
         }
         assert_eq!(
-            windows.iter().map(|w| w.uops_dispatched).sum::<u64>(),
+            windows.iter().map(|w| w.delta.uops_dispatched).sum::<u64>(),
             result.stats.uops_dispatched,
             "{app}: dispatched uops lost at a window seam"
         );

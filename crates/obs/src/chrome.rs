@@ -183,7 +183,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             'C',
             0,
             "remerges",
-            format!(",\"args\":{{\"count\":{}}}", s.remerges),
+            format!(",\"args\":{{\"count\":{}}}", s.delta.remerges),
         ));
     }
 
@@ -313,8 +313,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeSummary, String> {
 mod tests {
     use super::*;
     use crate::event::{ModeTrigger, TraceRecord};
+    use crate::replay::CounterSet;
     use crate::window::{Occupancy, WindowSample};
-    use mmt_isa::MAX_THREADS;
 
     fn sample_trace() -> Trace {
         let events = vec![
@@ -366,14 +366,15 @@ mod tests {
         let windows = vec![WindowSample {
             end_cycle: 100,
             cycles: 100,
-            retired: [0; MAX_THREADS],
-            fetch_merge: 50,
-            fetch_detect: 50,
-            fetch_catchup: 0,
-            uops_dispatched: 60,
-            merged_uops: 20,
-            remerges: 1,
-            divergences: 1,
+            delta: CounterSet {
+                fetch_merge: 50,
+                fetch_detect: 50,
+                uops_dispatched: 60,
+                merged_uops: 20,
+                remerges: 1,
+                divergences: 1,
+                ..CounterSet::default()
+            },
             occupancy: Occupancy {
                 rob: 8,
                 lsq: 2,

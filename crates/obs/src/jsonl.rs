@@ -102,7 +102,8 @@ pub fn append_window_line(out: &mut String, s: &WindowSample, threads: usize) {
         "{{\"end\":{},\"cycles\":{},\"retired\":[",
         s.end_cycle, s.cycles
     );
-    for (t, r) in s.retired.iter().take(threads).enumerate() {
+    let d = &s.delta;
+    for (t, r) in d.retired.iter().take(threads).enumerate() {
         if t > 0 {
             out.push(',');
         }
@@ -117,13 +118,13 @@ pub fn append_window_line(out: &mut String, s: &WindowSample, threads: usize) {
         s.ipc(),
         s.merge_fraction(),
         s.merged_dispatch_fraction(),
-        s.fetch_merge,
-        s.fetch_detect,
-        s.fetch_catchup,
-        s.uops_dispatched,
-        s.merged_uops,
-        s.remerges,
-        s.divergences,
+        d.fetch_merge,
+        d.fetch_detect,
+        d.fetch_catchup,
+        d.uops_dispatched,
+        d.merged_uops,
+        d.remerges,
+        d.divergences,
         s.occupancy.rob,
         s.occupancy.lsq,
         s.occupancy.iq,
@@ -148,8 +149,8 @@ mod tests {
         WatchdogKind,
     };
     use crate::json;
+    use crate::replay::CounterSet;
     use crate::window::Occupancy;
-    use mmt_isa::MAX_THREADS;
 
     #[test]
     fn every_event_variant_emits_valid_json() {
@@ -225,19 +226,16 @@ mod tests {
         let s = WindowSample {
             end_cycle: 100,
             cycles: 100,
-            retired: {
-                let mut r = [0u64; MAX_THREADS];
-                r[0] = 70;
-                r[1] = 50;
-                r
+            delta: CounterSet {
+                retired: [70, 50, 0, 0],
+                fetch_merge: 80,
+                fetch_detect: 20,
+                uops_dispatched: 90,
+                merged_uops: 40,
+                remerges: 1,
+                divergences: 1,
+                ..CounterSet::default()
             },
-            fetch_merge: 80,
-            fetch_detect: 20,
-            fetch_catchup: 0,
-            uops_dispatched: 90,
-            merged_uops: 40,
-            remerges: 1,
-            divergences: 1,
             occupancy: Occupancy {
                 rob: 12,
                 lsq: 3,

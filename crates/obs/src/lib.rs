@@ -229,7 +229,7 @@ mod tests {
         assert_eq!(trace.events.len(), 3);
         assert_eq!(trace.windows.len(), 2, "boundary window + final partial");
         assert_eq!(trace.windows[1].cycles, 5);
-        assert_eq!(trace.windows[1].retired[0], 1);
+        assert_eq!(trace.windows[1].delta.retired[0], 1);
 
         let replayed = trace.replay_counters();
         assert_eq!(replayed.fetch_merge, 2);

@@ -84,6 +84,26 @@ impl CounterSet {
     pub fn total_retired(&self) -> u64 {
         self.retired.iter().sum()
     }
+
+    /// What was counted since `earlier`, a snapshot of the same running
+    /// counters.
+    pub fn delta(&self, earlier: &CounterSet) -> CounterSet {
+        let mut retired = self.retired;
+        for (r, e) in retired.iter_mut().zip(&earlier.retired) {
+            *r -= e;
+        }
+        CounterSet {
+            fetch_merge: self.fetch_merge - earlier.fetch_merge,
+            fetch_detect: self.fetch_detect - earlier.fetch_detect,
+            fetch_catchup: self.fetch_catchup - earlier.fetch_catchup,
+            retired,
+            commits: self.commits - earlier.commits,
+            uops_dispatched: self.uops_dispatched - earlier.uops_dispatched,
+            merged_uops: self.merged_uops - earlier.merged_uops,
+            remerges: self.remerges - earlier.remerges,
+            divergences: self.divergences - earlier.divergences,
+        }
+    }
 }
 
 /// Replay a full event stream into a [`CounterSet`].
@@ -172,6 +192,47 @@ mod tests {
         assert_eq!(c.total_retired(), 3);
         assert_eq!(c.remerges, 1);
         assert_eq!(c.divergences, 1);
+    }
+
+    #[test]
+    fn delta_subtracts_every_counter() {
+        let earlier = CounterSet {
+            fetch_merge: 1,
+            fetch_detect: 2,
+            fetch_catchup: 3,
+            retired: [4, 5, 6, 7],
+            commits: 8,
+            uops_dispatched: 9,
+            merged_uops: 10,
+            remerges: 11,
+            divergences: 12,
+        };
+        let mut later = earlier;
+        later.fetch_merge += 100;
+        later.fetch_detect += 200;
+        later.fetch_catchup += 300;
+        later.retired = [404, 505, 606, 707];
+        later.commits += 800;
+        later.uops_dispatched += 900;
+        later.merged_uops += 1000;
+        later.remerges += 1100;
+        later.divergences += 1200;
+        let d = later.delta(&earlier);
+        assert_eq!(
+            d,
+            CounterSet {
+                fetch_merge: 100,
+                fetch_detect: 200,
+                fetch_catchup: 300,
+                retired: [400, 500, 600, 700],
+                commits: 800,
+                uops_dispatched: 900,
+                merged_uops: 1000,
+                remerges: 1100,
+                divergences: 1200,
+            }
+        );
+        assert_eq!(later.delta(&later), CounterSet::default());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! structure occupancies sampled at each window boundary.
 
 use crate::replay::CounterSet;
-use mmt_isa::MAX_THREADS;
 
 /// Instantaneous pipeline-structure occupancies, supplied by the
 /// simulator at each window boundary.
@@ -19,8 +18,8 @@ pub struct Occupancy {
     pub arena: u32,
 }
 
-/// One window of the time series. Counter fields are deltas over the
-/// window; occupancy fields are instantaneous samples at `end_cycle`.
+/// One window of the time series: the counters' deltas over the window
+/// and the occupancies sampled at `end_cycle`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowSample {
     /// Last cycle covered by this window (windows end at multiples of
@@ -29,22 +28,8 @@ pub struct WindowSample {
     /// Cycles actually covered (equal to the width except for the final
     /// partial window).
     pub cycles: u64,
-    /// Instructions retired per thread during the window.
-    pub retired: [u64; MAX_THREADS],
-    /// Thread-instruction slots fetched merged during the window.
-    pub fetch_merge: u64,
-    /// Slots fetched in DETECT during the window.
-    pub fetch_detect: u64,
-    /// Slots fetched in CATCHUP during the window.
-    pub fetch_catchup: u64,
-    /// Uops dispatched during the window.
-    pub uops_dispatched: u64,
-    /// Dispatched uops covering two or more threads.
-    pub merged_uops: u64,
-    /// Remerges completed during the window.
-    pub remerges: u64,
-    /// Divergences during the window.
-    pub divergences: u64,
+    /// What the running counters gained during the window.
+    pub delta: CounterSet,
     /// Occupancies at the window boundary.
     pub occupancy: Occupancy,
 }
@@ -55,7 +40,7 @@ impl WindowSample {
         if self.cycles == 0 {
             return 0.0;
         }
-        self.retired.iter().sum::<u64>() as f64 / self.cycles as f64
+        self.delta.total_retired() as f64 / self.cycles as f64
     }
 
     /// Per-thread IPC over the window.
@@ -63,27 +48,27 @@ impl WindowSample {
         if self.cycles == 0 {
             return 0.0;
         }
-        self.retired[t] as f64 / self.cycles as f64
+        self.delta.retired[t] as f64 / self.cycles as f64
     }
 
     /// Fraction of fetched slots that were merged (0 when nothing was
     /// fetched).
     pub fn merge_fraction(&self) -> f64 {
-        let total = self.fetch_merge + self.fetch_detect + self.fetch_catchup;
+        let total = self.delta.fetch_total();
         if total == 0 {
             0.0
         } else {
-            self.fetch_merge as f64 / total as f64
+            self.delta.fetch_merge as f64 / total as f64
         }
     }
 
     /// Fraction of dispatched uops that were merged (0 when nothing
     /// dispatched).
     pub fn merged_dispatch_fraction(&self) -> f64 {
-        if self.uops_dispatched == 0 {
+        if self.delta.uops_dispatched == 0 {
             0.0
         } else {
-            self.merged_uops as f64 / self.uops_dispatched as f64
+            self.delta.merged_uops as f64 / self.delta.uops_dispatched as f64
         }
     }
 }
@@ -131,22 +116,10 @@ impl WindowedRecorder {
         if now <= self.last_cycle {
             return; // empty window (e.g. final flush right on a boundary)
         }
-        let d = |a: u64, b: u64| a - b;
-        let mut retired = [0u64; MAX_THREADS];
-        for (t, r) in retired.iter_mut().enumerate() {
-            *r = counters.retired[t] - self.last.retired[t];
-        }
         self.samples.push(WindowSample {
             end_cycle: now,
             cycles: now - self.last_cycle,
-            retired,
-            fetch_merge: d(counters.fetch_merge, self.last.fetch_merge),
-            fetch_detect: d(counters.fetch_detect, self.last.fetch_detect),
-            fetch_catchup: d(counters.fetch_catchup, self.last.fetch_catchup),
-            uops_dispatched: d(counters.uops_dispatched, self.last.uops_dispatched),
-            merged_uops: d(counters.merged_uops, self.last.merged_uops),
-            remerges: d(counters.remerges, self.last.remerges),
-            divergences: d(counters.divergences, self.last.divergences),
+            delta: counters.delta(&self.last),
             occupancy,
         });
         self.last = *counters;
@@ -201,14 +174,14 @@ mod tests {
 
         let s = w.samples();
         assert_eq!(s.len(), 2);
-        assert_eq!(s[0].retired[0], 50);
+        assert_eq!(s[0].delta.retired[0], 50);
         assert_eq!(s[0].occupancy.rob, 10);
         assert!((s[0].ipc() - 0.5).abs() < 1e-12);
         assert!((s[0].merge_fraction() - 1.0).abs() < 1e-12);
         assert!((s[0].merged_dispatch_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(s[1].retired[0], 70);
-        assert_eq!(s[1].fetch_detect, 40);
-        assert_eq!(s[1].remerges, 1);
+        assert_eq!(s[1].delta.retired[0], 70);
+        assert_eq!(s[1].delta.fetch_detect, 40);
+        assert_eq!(s[1].delta.remerges, 1);
         assert!((s[1].thread_ipc(0) - 0.7).abs() < 1e-12);
     }
 
@@ -225,7 +198,7 @@ mod tests {
         let s = w.into_samples();
         assert_eq!(s.len(), 2);
         assert_eq!(s[1].cycles, 30);
-        assert_eq!(s[1].retired[0], 4);
+        assert_eq!(s[1].delta.retired[0], 4);
     }
 
     #[test]
@@ -233,14 +206,7 @@ mod tests {
         let s = WindowSample {
             end_cycle: 0,
             cycles: 0,
-            retired: [0; MAX_THREADS],
-            fetch_merge: 0,
-            fetch_detect: 0,
-            fetch_catchup: 0,
-            uops_dispatched: 0,
-            merged_uops: 0,
-            remerges: 0,
-            divergences: 0,
+            delta: CounterSet::default(),
             occupancy: Occupancy::default(),
         };
         assert_eq!(s.ipc(), 0.0);

@@ -27,8 +27,6 @@ pub mod trace;
 pub use align::{profile_pair, DIVERGENCE_BUCKETS};
 pub use trace::collect_trace;
 
-use mmt_isa::TraceRecord;
-
 /// The redundancy profile of one thread pair (the paper's Figure 1 bar
 /// plus Figure 2 histogram for one application).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -78,9 +76,4 @@ impl RedundancyProfile {
             .sum();
         within as f64 / total as f64
     }
-}
-
-/// Profile a ready-made pair of traces.
-pub fn profile_traces(a: &[TraceRecord], b: &[TraceRecord]) -> RedundancyProfile {
-    profile_pair(a, b)
 }

@@ -486,10 +486,11 @@ pub fn app_by_name(name: &str) -> Option<App> {
     all_apps().into_iter().find(|a| a.name == name)
 }
 
-/// Fixed seed for the `perfsmoke` microbenchmark workload — pinned so
-/// the benchmark's dynamic instruction stream is bit-identical across
-/// machines and PRs (the throughput numbers in `results/BENCH_*.json`
-/// are only comparable when the simulated work is).
+/// Fixed seed for the [`perfsmoke_app`] workload — pinned so its
+/// dynamic instruction stream is bit-identical across machines and
+/// commits (the `mmtffwd` speed-ratio gate times it, and the numbers in
+/// `results/BENCH_ffwd.json` are only comparable when the simulated
+/// work is).
 pub const PERFSMOKE_SEED: u64 = 0x00C0_FFEE;
 
 /// The `perfsmoke` workload: a deliberately long-running multi-threaded

@@ -122,18 +122,6 @@ pub struct KernelSpec {
 }
 
 impl KernelSpec {
-    /// Instructions in one iteration of the common path (approximate;
-    /// used by tests to sanity-check generated programs, not by the
-    /// generator itself).
-    pub fn approx_body_len(&self) -> usize {
-        // Loop control + address arithmetic overheads are roughly:
-        // 2 per load/store (mask+add), 3 loop control, 3 flag check.
-        let mem = self.common_loads + self.private_loads + self.stores;
-        (self.common_alu + self.common_fpu + self.private_alu + mem * 3) * self.unroll
-            + 6
-            + if self.calls { 2 } else { 0 }
-    }
-
     /// Validate knob consistency.
     ///
     /// # Errors
