@@ -235,7 +235,7 @@ fn main() {
     let sampling = run_parallel(&apps, spec.jobs, |app| {
         let progress_label = format!("sample:{}", app.name);
         if let Some(p) = &spec.progress {
-            p.start(&progress_label, 1);
+            p.start(&progress_label);
         }
         let case_started = Instant::now();
         let idx = apps.iter().position(|a| a.name == app.name).unwrap();
@@ -276,7 +276,7 @@ fn main() {
                 && speedup_rel_err <= SPEEDUP_REL_ERR_BOUND,
         };
         if let Some(p) = &spec.progress {
-            p.finish(&progress_label, 1, case_started.elapsed());
+            p.finish(&progress_label, case_started.elapsed());
         }
         (row, golden_base.cycles)
     });

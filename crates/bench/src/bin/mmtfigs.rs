@@ -15,7 +15,7 @@
 //! | `--jobs N`          | cores | worker-pool size |
 //! | `--resume-dir DIR`  | off   | cache every finished run under DIR; a rerun loads it instead of simulating |
 //! | `--trace-dir DIR`   | off   | Figure 5(a)/(c)'s MMT-FXR runs drop `<app>-<N>t-fxr.*` pipeline traces in DIR |
-//! | `--deadline-secs S` | none  | per-run wall-clock deadline; a run that misses it is retried, then recorded as failed |
+//! | `--deadline-secs S` | none  | per-run wall-clock deadline; a run that misses it stops and is recorded as a `timeout` failure |
 //!
 //! Exit status: 0 when every figure was written, 1 when a run failed
 //! (its figures are skipped; the failure lands in

@@ -7,8 +7,10 @@
 //! are those runs again, and Base never consults the FHB. [`regenerate`]
 //! therefore keys every requested run by the digests of its run spec and
 //! of its [`SimConfig::effective`] config, and simulates
-//! each distinct key once, under the sweep supervision of
-//! [`run_supervised`] (deadline, retry, `--resume-dir` cache). Each
+//! each distinct key once on a worker of [`run_supervised`], which
+//! records a run that fails, panics or misses the `--deadline-secs`
+//! deadline (checked in the run's own step loop) as a `PointFailure`;
+//! `--resume-dir` caches every finished run. Each
 //! figure is then rendered from the shared results into
 //! `results/<figure>.txt`; telemetry for the distinct runs lands in
 //! `results/BENCH_figs.json` and one `results/LEDGER.jsonl` record.
@@ -18,8 +20,8 @@
 
 use crate::ledger::LedgerRecord;
 use crate::sweep::{
-    run_parallel, run_supervised, write_trace_files, BenchReport, PointFailure, ResumeDir,
-    RunTelemetry, Supervision,
+    run_parallel, run_supervised, write_trace_files, BenchReport, FailureKind, PointFailure,
+    ResumeDir, RunTelemetry,
 };
 use crate::{geomean, speedup, to_run_spec};
 use mmt_energy::EnergyModel;
@@ -41,9 +43,9 @@ use std::time::{Duration, Instant};
 /// Thread count of every figure but 5(c) (and 6's 4-thread columns).
 const THREADS: usize = 2;
 
-/// Cycles between `ArchState` checkpoints of a checkpointed run under
-/// `--resume-dir`.
-const CHECKPOINT_EVERY: u64 = 50_000;
+/// Cycles between a run's deadline checks under `--deadline-secs`: its
+/// step loop reads the clock only on multiples of this power of two.
+const DEADLINE_CHECK_EVERY: u64 = 1 << 14;
 
 /// A built workload instance and its run-spec digest, shared by every
 /// run of it.
@@ -69,10 +71,6 @@ struct Run {
     cfg: SimConfig,
     /// Record a pipeline trace under `--trace-dir`.
     traced: bool,
-    /// Checkpoint its `ArchState` under `--resume-dir`. Only Figure 5's
-    /// native Base runs, the longest, do: checkpointing every run of
-    /// `fig5c_speedup_4t` costs 5-20% more wall-clock.
-    checkpointed: bool,
 }
 
 impl Run {
@@ -104,7 +102,6 @@ fn run(w: &Arc<Workload>, knob: &str, level: MmtLevel, tweak: impl FnOnce(&mut S
         workload: Arc::clone(w),
         cfg,
         traced: false,
-        checkpointed: false,
     }
 }
 
@@ -459,7 +456,7 @@ fn table3(_: &Ctx, out: &mut String) -> fmt::Result {
 // Figures 5 and 6
 // ---------------------------------------------------------------------
 
-/// Per app: Base (checkpointed), MMT-F, MMT-FX, MMT-FXR (traced), then
+/// Per app: Base, MMT-F, MMT-FX, MMT-FXR (traced), then
 /// Base and MMT-FXR on the Limit workload, which runs different work so has its own Base.
 fn fig5_runs(cx: &Ctx, threads: usize) -> Vec<Run> {
     let mut runs = Vec::new();
@@ -467,7 +464,6 @@ fn fig5_runs(cx: &Ctx, threads: usize) -> Vec<Run> {
         let w = cx.native(app, threads);
         runs.extend(MmtLevel::ALL.map(|level| Run {
             traced: level == MmtLevel::Fxr,
-            checkpointed: level == MmtLevel::Base,
             ..run(&w, "", level, |_| {})
         }));
         runs.extend(pair(&cx.limit(app, threads), "", |_| {}));
@@ -812,34 +808,49 @@ struct Finished {
 mmt_obs::impl_json! { Finished { telemetry, stats } }
 
 /// Simulate one distinct run, or load it from the resume cache (then
-/// the flag is set).
+/// the flag is set). A run that writes a trace under `trace_dir` always
+/// simulates, since the cache holds no traces, and still stores its
+/// result. The step loop is [`Simulator::run`]'s, plus a `deadline`
+/// check every [`DEADLINE_CHECK_EVERY`] cycles.
 fn execute(
     run: &Run,
     cache: Option<&ResumeDir>,
     trace_dir: Option<&Path>,
-) -> Result<(Finished, bool), String> {
+    deadline: Option<Duration>,
+) -> Result<(Finished, bool), (FailureKind, String)> {
     let key = run.cache_key(MODEL_DIGEST);
-    if let Some(mut hit) = cache.and_then(|c| Finished::from_json(&c.load(&key)?)) {
+    let trace_dir = trace_dir.filter(|_| run.traced);
+    let cached = cache.filter(|_| trace_dir.is_none());
+    if let Some(mut hit) = cached.and_then(|c| Finished::from_json(&c.load(&key)?)) {
         // The key names the simulation, not the figure that first asked.
         hit.telemetry.label = run.label.clone();
         return Ok((hit, true));
     }
     let mut cfg = run.cfg.clone();
-    let trace_dir = trace_dir.filter(|_| run.traced);
     if trace_dir.is_some() {
         cfg.trace = Some(mmt_sim::TraceConfig {
             ring_capacity: 1 << 20,
             window: 4096,
         });
     }
+    let failed = |e: String| (FailureKind::Error, format!("{}: {e}", run.label));
     let started = Instant::now();
-    let sim = Simulator::new(cfg, to_run_spec(run.workload.instance.clone()))
-        .map_err(|e| format!("{}: invalid config/spec: {e}", run.label))?;
-    let result = match cache.filter(|_| run.checkpointed) {
-        Some(c) => c.run_checkpointed(&key, sim, CHECKPOINT_EVERY),
-        None => sim.run(),
+    let mut sim = Simulator::new(cfg, to_run_spec(run.workload.instance.clone()))
+        .map_err(|e| failed(format!("invalid config/spec: {e}")))?;
+    while !sim.finished() {
+        if let Some(limit) = deadline {
+            if sim.now() % DEADLINE_CHECK_EVERY == 0 && started.elapsed() > limit {
+                let message = format!(
+                    "{}: stopped at cycle {} after missing the {limit:?} deadline",
+                    run.label,
+                    sim.now()
+                );
+                return Err((FailureKind::Timeout, message));
+            }
+        }
+        sim.step_cycle().map_err(|e| failed(e.to_string()))?;
     }
-    .map_err(|e| format!("{}: {e}", run.label))?;
+    let result = sim.finish();
     if let (Some(dir), Some(trace)) = (trace_dir, &result.trace) {
         if let Err(e) = write_trace_files(dir, &run.label, trace) {
             eprintln!("warning: trace for {} not written: {e}", run.label);
@@ -881,7 +892,6 @@ pub fn regenerate(opts: &Options) -> bool {
                     distinct.push(r);
                 } else {
                     distinct[i].traced |= r.traced;
-                    distinct[i].checkpointed |= r.checkpointed;
                 }
                 i
             })
@@ -893,17 +903,16 @@ pub fn regenerate(opts: &Options) -> bool {
         distinct.len()
     );
 
-    let sup = Supervision {
-        deadline: opts.deadline,
-        ..Supervision::default()
-    };
-    let (cache, trace_dir) = (opts.resume.clone(), opts.trace_dir.clone());
+    let (cache, trace_dir, deadline) = (
+        opts.resume.as_ref(),
+        opts.trace_dir.as_deref(),
+        opts.deadline,
+    );
     let results = run_supervised(
         &distinct,
         opts.jobs,
-        &sup,
         |r| r.label.clone(),
-        move |r: Run| execute(&r, cache.as_ref(), trace_dir.as_deref()),
+        |r| execute(r, cache, trace_dir, deadline),
     );
     let hits = results
         .iter()
@@ -1034,7 +1043,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mmt-figs-model-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResumeDir::open(&dir).unwrap();
-        let (fresh, hit) = execute(&r, Some(&cache), None).unwrap();
+        let (fresh, hit) = execute(&r, Some(&cache), None, None).unwrap();
         assert!(!hit);
         // What an older model would have left: other statistics, stored
         // under its own fingerprint only.
@@ -1047,15 +1056,60 @@ mod tests {
             stats: stale,
         };
         cache.store(&r.cache_key(MODEL_DIGEST ^ 1), &old).unwrap();
-        let (again, hit) = execute(&r, Some(&cache), None).unwrap();
+        let (again, hit) = execute(&r, Some(&cache), None, None).unwrap();
         assert!(!hit, "an entry of another model was served");
         let same = |a: &SimStats| format!("{a:?}") == format!("{:?}", fresh.stats);
         assert!(same(&again.stats));
         // The run just stored under the current model is served.
-        let (cached, hit) = execute(&r, Some(&cache), None).unwrap();
+        let (cached, hit) = execute(&r, Some(&cache), None, None).unwrap();
         assert!(hit);
         assert!(same(&cached.stats));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn traced_runs_skip_the_cache_but_fill_it() {
+        let cx = Ctx::new(SMOKE_SCALE, 1);
+        let r = Run {
+            traced: true,
+            ..run(&cx.native(&cx.apps[0], 2), "", MmtLevel::Fxr, |_| {})
+        };
+        let dir = std::env::temp_dir().join(format!("mmt-figs-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResumeDir::open(dir.join("rd")).unwrap();
+        let files = |d: &Path| std::fs::read_dir(d).map_or(0, |d| d.count());
+        let (t1, t2) = (dir.join("t1"), dir.join("t2"));
+        let (fresh, hit) = execute(&r, Some(&cache), Some(&t1), None).unwrap();
+        assert!(!hit);
+        assert_eq!(files(&t1), 3);
+        // A warm cache must not swallow the second directory's traces.
+        let (again, hit) = execute(&r, Some(&cache), Some(&t2), None).unwrap();
+        assert!(!hit, "a traced run was served from the cache");
+        assert_eq!(files(&t2), 3);
+        // Without a trace directory the stored result is served.
+        let (cached, hit) = execute(&r, Some(&cache), None, None).unwrap();
+        assert!(hit);
+        let same = |a: &SimStats| format!("{a:?}") == format!("{:?}", fresh.stats);
+        assert!(same(&again.stats) && same(&cached.stats));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn deadline_miss_becomes_a_timeout_failure() {
+        let cx = Ctx::new(SMOKE_SCALE, 1);
+        let r = run(&cx.native(&cx.apps[0], 2), "", MmtLevel::Base, |_| {});
+        let Err((kind, message)) = execute(&r, None, None, Some(Duration::from_nanos(1))) else {
+            panic!("a run finished inside a 1 ns deadline")
+        };
+        assert_eq!(kind, FailureKind::Timeout);
+        assert!(
+            message.starts_with(&r.label) && message.contains("1ns deadline"),
+            "{message}"
+        );
+        // A deadline the run meets changes nothing.
+        let (done, _) = execute(&r, None, None, Some(Duration::from_secs(3600))).unwrap();
+        let (plain, _) = execute(&r, None, None, None).unwrap();
+        assert_eq!(format!("{:?}", done.stats), format!("{:?}", plain.stats));
     }
 
     #[test]

@@ -131,19 +131,17 @@ impl GateSpec {
 
     /// Run every case in parallel (item order preserved), emitting one
     /// `start`/`finish` progress-record pair per case when `--progress`
-    /// is live. Gate cases run to completion in-process, so there is no
-    /// retry/heartbeat machinery here — that belongs to the supervised
-    /// sweeps.
+    /// is live.
     pub fn run_cases<R: Send>(&self, f: impl Fn(&App, usize) -> R + Send + Sync) -> Vec<R> {
         run_parallel(&self.cases(), self.jobs, |(app, threads)| {
             let label = format!("{}@{threads}", app.name);
             if let Some(p) = &self.progress {
-                p.start(&label, 1);
+                p.start(&label);
             }
             let started = Instant::now();
             let row = f(app, *threads);
             if let Some(p) = &self.progress {
-                p.finish(&label, 1, started.elapsed());
+                p.finish(&label, started.elapsed());
             }
             row
         })

@@ -23,7 +23,6 @@ pub mod figs;
 pub mod gate;
 pub mod ledger;
 pub mod report;
-pub mod retry;
 pub mod sample;
 pub mod sweep;
 

@@ -12,23 +12,21 @@
 //! footprint) and writes a machine-readable `results/BENCH_<figure>.json`
 //! per sweep so the perf trajectory is tracked PR-over-PR.
 //!
-//! The fault-tolerance half (DESIGN.md §15) wraps grid points in
-//! supervision: [`run_supervised`] runs each point on its own attempt
-//! thread under `catch_unwind` with an optional wall-clock deadline and
-//! bounded retry-with-backoff ([`crate::retry::RetryPolicy`]); a point
-//! that keeps failing degrades to a typed [`PointFailure`] record in the
-//! figure's BENCH JSON instead of killing the sweep. [`ResumeDir`]
+//! The failure half (DESIGN.md §15): [`run_supervised`] runs each point
+//! on its pool worker under `catch_unwind`, so a point that panics or
+//! returns an error becomes a typed [`PointFailure`] record in the
+//! figure's BENCH JSON instead of killing the sweep. The simulator is
+//! deterministic, so a failed point is not retried. [`ResumeDir`]
 //! caches each completed point on disk (atomic tmp + rename), so a
 //! sweep killed mid-run resumes from the last completed point
 //! (`--resume-dir`) and still produces byte-identical canonical output.
 
-use crate::retry::RetryPolicy;
 use mmt_obs::json::{to_json, ToJson, Value};
-use mmt_sim::{SimError, SimResult, SimStats, Simulator, Trace};
+use mmt_sim::{SimStats, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Worker count when `--jobs` is not given: one per available core.
@@ -87,16 +85,15 @@ where
         .collect()
 }
 
-/// Why a supervised grid point was recorded as failed.
+/// Why a grid point was recorded as failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
     /// The point's closure panicked (caught by `catch_unwind`).
     Panic,
-    /// The point missed its wall-clock deadline; the attempt thread was
-    /// abandoned.
+    /// The point missed its wall-clock deadline and stopped.
     Timeout,
     /// The point returned a typed error (e.g. a `SimError` such as a
-    /// watchdog firing). Deterministic, so never retried.
+    /// watchdog firing).
     Error,
 }
 
@@ -117,8 +114,8 @@ impl ToJson for FailureKind {
     }
 }
 
-/// A grid point that failed supervision: recorded in the BENCH report
-/// instead of aborting the sweep's sibling points.
+/// A grid point that failed: recorded in the BENCH report instead of
+/// aborting the sweep's sibling points.
 #[derive(Debug, Clone)]
 pub struct PointFailure {
     /// Which grid point failed (same namespace as [`RunTelemetry::label`]).
@@ -127,62 +124,27 @@ pub struct PointFailure {
     pub kind: FailureKind,
     /// Human-readable cause: the panic message, deadline, or error text.
     pub message: String,
-    /// How many attempts were made before giving up.
-    pub attempts: u32,
 }
-mmt_obs::impl_to_json! { PointFailure { label, kind, message, attempts } }
+mmt_obs::impl_to_json! { PointFailure { label, kind, message } }
 
-impl PointFailure {
-    /// Copy with the (wall-clock-noise-dependent) attempt count zeroed —
-    /// canonical form for determinism comparisons.
-    pub fn without_attempts(&self) -> PointFailure {
-        PointFailure {
-            attempts: 0,
-            ..self.clone()
-        }
-    }
-}
-
-/// Supervision settings for [`run_supervised`].
-#[derive(Debug, Clone)]
-pub struct Supervision {
-    /// Per-attempt wall-clock deadline; `None` waits indefinitely.
-    pub deadline: Option<Duration>,
-    /// Retry policy for transient failures (panics and timeouts only —
-    /// typed errors are deterministic and fail fast).
-    pub retry: RetryPolicy,
-}
-
-impl Default for Supervision {
-    fn default() -> Self {
-        Supervision {
-            deadline: None,
-            retry: RetryPolicy::attempts(2),
-        }
-    }
-}
-
-/// Parse `--progress PATH`: when present, a sweep streams per-point
-/// progress records (start/heartbeat/retry/finish/fail) to PATH as
-/// JSONL, so a multi-minute run is observable while it executes
-/// (`tail -f`).
+/// Parse `--progress PATH`: when present, a gate streams per-case
+/// `start`/`finish` records to PATH as JSONL, so a multi-minute run is
+/// observable while it executes (`tail -f`).
 pub fn progress_arg(args: &[String]) -> Option<PathBuf> {
     crate::arg_value(args, "--progress").map(PathBuf::from)
 }
 
-/// Live progress stream for long sweeps: one JSON object per line,
+/// Live progress stream for long gate runs: one JSON object per line,
 /// flushed per event, safe to share across worker threads.
 ///
-/// Line shape: `{"ms":…,"event":…,"label":…,"attempt":…}` plus
-/// event-specific fields (`kind`/`message` on `retry`/`fail`,
-/// `wall_ms` on `finish`, `waited_ms` on `heartbeat`). `ms` is
-/// milliseconds since the sink was opened, so records order even when
-/// lines from parallel points interleave.
+/// Line shape: `{"ms":…,"event":"start"|"finish","label":…}`, plus
+/// `wall_ms` on `finish`. `ms` is milliseconds since the sink was
+/// opened, so records order even when lines from parallel cases
+/// interleave.
 #[derive(Debug)]
 pub struct ProgressSink {
     file: Mutex<std::fs::File>,
     opened: Instant,
-    heartbeat_every: Duration,
 }
 
 impl ProgressSink {
@@ -196,14 +158,7 @@ impl ProgressSink {
         Ok(ProgressSink {
             file: Mutex::new(std::fs::File::create(path)?),
             opened: Instant::now(),
-            heartbeat_every: Duration::from_secs(1),
         })
-    }
-
-    /// Override the heartbeat interval (default 1s).
-    pub fn with_heartbeat_every(mut self, every: Duration) -> ProgressSink {
-        self.heartbeat_every = every.max(Duration::from_millis(1));
-        self
     }
 
     fn write_line(&self, build: impl FnOnce(&mut mmt_obs::json::ObjectWriter<'_>)) {
@@ -218,151 +173,25 @@ impl ProgressSink {
         line.push('\n');
         use std::io::Write as _;
         let mut file = self.file.lock().expect("progress sink poisoned");
-        // Progress is advisory: a full disk must not fail the sweep.
+        // Progress is advisory: a full disk must not fail the run.
         let _ = file.write_all(line.as_bytes());
         let _ = file.flush();
     }
 
-    fn event(&self, event: &str, label: &str, attempt: u32) {
+    /// A case began.
+    pub fn start(&self, label: &str) {
         self.write_line(|w| {
-            w.str("event", event)
-                .str("label", label)
-                .u64("attempt", attempt as u64);
+            w.str("event", "start").str("label", label);
         });
     }
 
-    /// A point's attempt began.
-    pub fn start(&self, label: &str, attempt: u32) {
-        self.event("start", label, attempt);
-    }
-
-    /// A point is still running (emitted every heartbeat interval while
-    /// the supervisor waits).
-    pub fn heartbeat(&self, label: &str, attempt: u32, waited: Duration) {
-        self.write_line(|w| {
-            w.str("event", "heartbeat")
-                .str("label", label)
-                .u64("attempt", attempt as u64)
-                .f64("waited_ms", waited.as_secs_f64() * 1000.0);
-        });
-    }
-
-    /// A transient failure is about to be retried.
-    pub fn retry(&self, label: &str, attempt: u32, kind: FailureKind, message: &str) {
-        self.write_line(|w| {
-            w.str("event", "retry")
-                .str("label", label)
-                .u64("attempt", attempt as u64)
-                .str("kind", kind.name())
-                .str("message", message);
-        });
-    }
-
-    /// A point completed successfully.
-    pub fn finish(&self, label: &str, attempt: u32, wall: Duration) {
+    /// A case completed.
+    pub fn finish(&self, label: &str, wall: Duration) {
         self.write_line(|w| {
             w.str("event", "finish")
                 .str("label", label)
-                .u64("attempt", attempt as u64)
                 .f64("wall_ms", wall.as_secs_f64() * 1000.0);
         });
-    }
-
-    /// A point failed for good (after retries).
-    pub fn fail(&self, label: &str, failure: &PointFailure) {
-        self.write_line(|w| {
-            w.str("event", "fail")
-                .str("label", label)
-                .u64("attempt", failure.attempts as u64)
-                .str("kind", failure.kind.name())
-                .str("message", &failure.message);
-        });
-    }
-}
-
-/// One attempt's transient failure, before retry accounting.
-struct AttemptFailure {
-    kind: FailureKind,
-    message: String,
-}
-
-/// Run one attempt of a point on its own thread so a hang cannot wedge
-/// the sweep: the supervisor waits on a channel with the deadline and
-/// simply abandons a thread that blows it.
-fn run_attempt<T, R, F>(
-    item: T,
-    deadline: Option<Duration>,
-    f: Arc<F>,
-    heartbeat: Option<(&ProgressSink, &str, u32)>,
-) -> Result<Result<R, String>, AttemptFailure>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> Result<R, String> + Send + Sync + 'static,
-{
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
-        let _ = tx.send(outcome);
-    });
-    let started = Instant::now();
-    // Wait in slices so a live sweep can emit heartbeats; with no
-    // progress sink and no deadline this is a plain blocking recv.
-    let received = loop {
-        let remaining = deadline.map(|limit| limit.saturating_sub(started.elapsed()));
-        if remaining == Some(Duration::ZERO) {
-            break Err(AttemptFailure {
-                kind: FailureKind::Timeout,
-                message: format!(
-                    "no result within the {:.1}s deadline; attempt abandoned",
-                    deadline.expect("remaining implies deadline").as_secs_f64()
-                ),
-            });
-        }
-        let slice = match (heartbeat, remaining) {
-            (Some((sink, _, _)), Some(rem)) => Some(sink.heartbeat_every.min(rem)),
-            (Some((sink, _, _)), None) => Some(sink.heartbeat_every),
-            (None, rem) => rem,
-        };
-        let outcome = match slice {
-            Some(slice) => rx.recv_timeout(slice),
-            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-        };
-        match outcome {
-            Ok(v) => break Ok(v),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(AttemptFailure {
-                    kind: FailureKind::Panic,
-                    message: "attempt thread died without reporting a result".into(),
-                })
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Some((sink, label, attempt)) = heartbeat {
-                    // Only a real heartbeat tick, not a deadline expiry
-                    // (that is caught at the top of the next iteration).
-                    let due = deadline.is_none_or(|limit| started.elapsed() < limit);
-                    if due {
-                        sink.heartbeat(label, attempt, started.elapsed());
-                    }
-                }
-            }
-        }
-    };
-    match received {
-        Ok(Ok(result)) => {
-            let _ = worker.join();
-            Ok(result)
-        }
-        Ok(Err(payload)) => {
-            let _ = worker.join();
-            Err(AttemptFailure {
-                kind: FailureKind::Panic,
-                message: panic_message(payload.as_ref()),
-            })
-        }
-        // Timed out: leave the worker thread detached rather than block
-        // the whole sweep joining a hung simulation.
-        Err(fail) => Err(fail),
     }
 }
 
@@ -377,111 +206,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Supervise one grid point: bounded retries for transient failures
-/// (panic, deadline miss), fail-fast on typed errors.
-fn supervise_point<T, R, F>(
-    label: &str,
-    item: &T,
-    sup: &Supervision,
-    progress: Option<&ProgressSink>,
-    f: &Arc<F>,
-) -> Result<R, PointFailure>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> Result<R, String> + Send + Sync + 'static,
-{
-    let attempts = sup.retry.attempts.max(1);
-    let started = Instant::now();
-    let mut transient: Option<AttemptFailure> = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            let fail = transient.as_ref().expect("retry follows a failure");
-            if let Some(p) = progress {
-                p.retry(label, attempt + 1, fail.kind, &fail.message);
-            }
-            std::thread::sleep(sup.retry.backoff_before(attempt));
-        } else if let Some(p) = progress {
-            p.start(label, 1);
-        }
-        let heartbeat = progress.map(|p| (p, label, attempt + 1));
-        match run_attempt(item.clone(), sup.deadline, Arc::clone(f), heartbeat) {
-            Ok(Ok(result)) => {
-                if let Some(p) = progress {
-                    p.finish(label, attempt + 1, started.elapsed());
-                }
-                return Ok(result);
-            }
-            Ok(Err(message)) => {
-                // Typed simulator errors are deterministic: retrying
-                // re-runs the identical computation, so fail fast.
-                let failure = PointFailure {
-                    label: label.to_string(),
-                    kind: FailureKind::Error,
-                    message,
-                    attempts: attempt + 1,
-                };
-                if let Some(p) = progress {
-                    p.fail(label, &failure);
-                }
-                return Err(failure);
-            }
-            Err(fail) => transient = Some(fail),
-        }
-    }
-    let fail = transient.expect("at least one attempt ran");
-    let failure = PointFailure {
-        label: label.to_string(),
-        kind: fail.kind,
-        message: fail.message,
-        attempts,
-    };
-    if let Some(p) = progress {
-        p.fail(label, &failure);
-    }
-    Err(failure)
-}
-
-/// [`run_parallel`] with per-point supervision: each point runs under
-/// `catch_unwind` on its own attempt thread with an optional wall-clock
-/// deadline and bounded retry-with-backoff. A point that keeps failing
-/// comes back as `Err(PointFailure)` in its grid slot — sibling points
-/// are unaffected. Results keep item order, like `run_parallel`.
+/// [`run_parallel`] for points that can fail: each point runs on its
+/// pool worker, and one whose `f` returns `Err((kind, message))` or
+/// panics (caught by `catch_unwind`) comes back as `Err(PointFailure)`
+/// in its slot, labelled by `label`. Sibling points are unaffected, and
+/// results keep item order, like `run_parallel`.
 pub fn run_supervised<T, R, F>(
     items: &[T],
     jobs: usize,
-    sup: &Supervision,
     label: impl Fn(&T) -> String + Sync,
     f: F,
 ) -> Vec<Result<R, PointFailure>>
 where
-    T: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> Result<R, String> + Send + Sync + 'static,
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> Result<R, (FailureKind, String)> + Sync,
 {
-    run_supervised_progress(items, jobs, sup, None, label, f)
-}
-
-/// [`run_supervised`] with an optional live [`ProgressSink`]: every
-/// point streams `start` / `heartbeat` / `retry` / `finish` / `fail`
-/// records as it moves through supervision, so a multi-minute sweep can
-/// be watched with `tail -f`.
-pub fn run_supervised_progress<T, R, F>(
-    items: &[T],
-    jobs: usize,
-    sup: &Supervision,
-    progress: Option<&ProgressSink>,
-    label: impl Fn(&T) -> String + Sync,
-    f: F,
-) -> Vec<Result<R, PointFailure>>
-where
-    T: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> Result<R, String> + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
     run_parallel(items, jobs, |item| {
-        supervise_point(&label(item), item, sup, progress, &f)
+        catch_unwind(AssertUnwindSafe(|| f(item)))
+            .unwrap_or_else(|payload| Err((FailureKind::Panic, panic_message(payload.as_ref()))))
+            .map_err(|(kind, message)| PointFailure {
+                label: label(item),
+                kind,
+                message,
+            })
     })
 }
 
@@ -548,7 +296,7 @@ pub struct BenchReport {
     pub total_wall_ms: f64,
     /// Per-run telemetry, in deterministic grid order.
     pub runs: Vec<RunTelemetry>,
-    /// Grid points that failed supervision (empty on a clean sweep).
+    /// Grid points that failed (empty on a clean sweep).
     pub failures: Vec<PointFailure>,
 }
 mmt_obs::impl_to_json! { BenchReport { figure, jobs, total_wall_ms, runs, failures } }
@@ -565,14 +313,13 @@ impl BenchReport {
         }
     }
 
-    /// Attach the failed points a supervised sweep collected.
+    /// Attach the failed points a sweep collected.
     pub fn with_failures(mut self, failures: Vec<PointFailure>) -> Self {
         self.failures = failures;
         self
     }
 
-    /// JSON with wall-clock-derived fields (the pool size, and failure
-    /// attempt counts, which depend on machine noise) zeroed —
+    /// JSON with wall-clock-derived fields (and the pool size) zeroed —
     /// byte-identical across pool sizes for the same grid, which is what
     /// the determinism suite asserts.
     pub fn canonical_json(&self) -> String {
@@ -585,11 +332,7 @@ impl BenchReport {
                 .iter()
                 .map(RunTelemetry::without_wall_clock)
                 .collect(),
-            failures: self
-                .failures
-                .iter()
-                .map(PointFailure::without_attempts)
-                .collect(),
+            failures: self.failures.clone(),
         };
         to_json(&canon)
     }
@@ -661,43 +404,9 @@ impl ResumeDir {
 
     /// Atomically persist a completed point (temp file + rename).
     pub fn store(&self, label: &str, point: &impl ToJson) -> std::io::Result<()> {
-        self.write_atomic(&self.point_path(label), &(to_json(point) + "\n"))
-    }
-
-    /// Step a simulation to completion, atomically rewriting
-    /// `<label>.ckpt.json` with the architectural state every `every`
-    /// cycles — the digest-sealed `ArchState` document, so a long point
-    /// killed mid-run leaves an inspectable, restartable snapshot. The
-    /// file is removed once the run finishes: only in-flight runs keep
-    /// one.
-    pub fn run_checkpointed(
-        &self,
-        label: &str,
-        mut sim: Simulator,
-        every: u64,
-    ) -> Result<SimResult, SimError> {
-        let every = every.max(1);
-        let path = self
-            .dir
-            .join(format!("{}.ckpt.json", label.replace('/', "-")));
-        let mut next = every;
-        while !sim.finished() {
-            sim.step_cycle()?;
-            if sim.now() >= next {
-                next = sim.now() + every;
-                if let Err(e) = self.write_atomic(&path, &sim.arch_state().to_json()) {
-                    eprintln!("warning: checkpoint for {label} not written: {e}");
-                }
-            }
-        }
-        // Absent when the run finished before its first checkpoint.
-        let _ = std::fs::remove_file(&path);
-        Ok(sim.finish())
-    }
-
-    fn write_atomic(&self, path: &Path, contents: &str) -> std::io::Result<()> {
+        let path = self.point_path(label);
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, contents)?;
+        std::fs::write(&tmp, to_json(point) + "\n")?;
         std::fs::rename(&tmp, path)
     }
 }
@@ -736,18 +445,18 @@ mod tests {
     #[test]
     fn supervised_points_fail_independently() {
         let items: Vec<u32> = (0..6).collect();
-        let sup = Supervision {
-            deadline: None,
-            retry: RetryPolicy::once(),
-        };
         let out = run_supervised(
             &items,
             3,
-            &sup,
             |i| format!("point{i}"),
-            |i: u32| {
+            |&i| {
                 if i == 2 {
-                    Err("livelock detected: no retirement for 1000 cycles".to_string())
+                    Err((
+                        FailureKind::Error,
+                        "livelock detected: no retirement for 1000 cycles".to_string(),
+                    ))
+                } else if i == 3 {
+                    Err((FailureKind::Timeout, "missed the 1.0s deadline".to_string()))
                 } else if i == 4 {
                     panic!("injected panic for point 4");
                 } else {
@@ -762,7 +471,10 @@ mod tests {
                     assert_eq!(f.kind, FailureKind::Error);
                     assert_eq!(f.label, "point2");
                     assert!(f.message.contains("livelock detected"));
-                    assert_eq!(f.attempts, 1);
+                }
+                (3, Err(f)) => {
+                    assert_eq!(f.kind, FailureKind::Timeout);
+                    assert_eq!(f.label, "point3");
                 }
                 (4, Err(f)) => {
                     assert_eq!(f.kind, FailureKind::Panic);
@@ -775,146 +487,63 @@ mod tests {
     }
 
     #[test]
-    fn transient_panics_are_retried() {
-        use std::sync::atomic::AtomicU32;
-        let calls = Arc::new(AtomicU32::new(0));
-        let seen = Arc::clone(&calls);
-        let sup = Supervision {
-            deadline: None,
-            retry: RetryPolicy {
-                attempts: 3,
-                base_backoff: Duration::ZERO,
-                ..Default::default()
-            },
-        };
+    fn panicking_points_run_once() {
+        let calls = AtomicUsize::new(0);
         let out = run_supervised(
             &[0u32],
             1,
-            &sup,
-            |_| "flaky".to_string(),
-            move |_| {
-                if seen.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("transient");
-                }
-                Ok(7u32)
-            },
-        );
-        assert_eq!(out[0].as_ref().unwrap(), &7);
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn deadline_miss_becomes_a_timeout_failure() {
-        let sup = Supervision {
-            deadline: Some(Duration::from_millis(50)),
-            retry: RetryPolicy::once(),
-        };
-        let out = run_supervised(
-            &[0u32],
-            1,
-            &sup,
-            |_| "hung".to_string(),
-            |_| {
-                std::thread::sleep(Duration::from_secs(2));
-                Ok(0u32)
+            |_| "boom".to_string(),
+            |_| -> Result<u32, (FailureKind, String)> {
+                calls.fetch_add(1, Ordering::SeqCst);
+                panic!("deterministic");
             },
         );
         let f = out[0].as_ref().unwrap_err();
-        assert_eq!(f.kind, FailureKind::Timeout);
-        assert!(f.message.contains("deadline"), "{}", f.message);
+        assert_eq!((f.kind, f.label.as_str()), (FailureKind::Panic, "boom"));
+        assert_eq!(f.message, "deterministic");
+        // The simulator is deterministic: a retry would panic again.
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn progress_stream_covers_the_point_lifecycle() {
         let path = std::env::temp_dir().join(format!("mmt-progress-{}.jsonl", std::process::id()));
-        let sink = ProgressSink::create(&path)
-            .unwrap()
-            .with_heartbeat_every(Duration::from_millis(20));
-        let sup = Supervision {
-            deadline: None,
-            retry: RetryPolicy {
-                attempts: 2,
-                base_backoff: Duration::ZERO,
-                ..Default::default()
-            },
-        };
-        use std::sync::atomic::AtomicU32;
-        let calls = Arc::new(AtomicU32::new(0));
-        let seen = Arc::clone(&calls);
-        let out = run_supervised_progress(
-            &[0u32, 1],
-            2,
-            &sup,
-            Some(&sink),
-            |i| format!("p{i}"),
-            move |i: u32| {
-                if i == 0 && seen.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient");
-                }
-                // Long enough for at least one heartbeat tick.
-                std::thread::sleep(Duration::from_millis(60));
-                Ok(i)
-            },
-        );
-        assert!(out.iter().all(|r| r.is_ok()));
+        let sink = ProgressSink::create(&path).unwrap();
+        run_parallel(&[0u32, 1, 2], 3, |i| {
+            let label = format!("p{i}");
+            sink.start(&label);
+            sink.finish(&label, Duration::from_millis(5));
+        });
         drop(sink);
         let text = std::fs::read_to_string(&path).unwrap();
-        let events: Vec<mmt_obs::json::Value> = text
+        let events: Vec<Value> = text
             .lines()
             .map(|l| mmt_obs::json::parse(l).expect("every progress line is valid JSON"))
             .collect();
-        let of = |ev: &str, label: &str| {
-            events
-                .iter()
-                .filter(|v| {
-                    v.get("event").unwrap().as_str() == Some(ev)
-                        && v.get("label").unwrap().as_str() == Some(label)
-                })
-                .count()
-        };
-        assert_eq!(of("start", "p0"), 1);
-        assert_eq!(of("start", "p1"), 1);
-        assert_eq!(of("retry", "p0"), 1, "transient panic surfaced as retry");
-        assert_eq!(of("finish", "p0"), 1);
-        assert_eq!(of("finish", "p1"), 1);
-        assert!(of("heartbeat", "p1") >= 1, "long point heartbeats");
-        assert_eq!(of("fail", "p0") + of("fail", "p1"), 0);
+        assert_eq!(events.len(), 6);
+        for i in 0..3 {
+            let label = format!("p{i}");
+            let of = |ev: &str| {
+                events
+                    .iter()
+                    .position(|v| {
+                        v.get("event").unwrap().as_str() == Some(ev)
+                            && v.get("label").unwrap().as_str() == Some(label.as_str())
+                    })
+                    .unwrap_or_else(|| panic!("no {ev} for {label}:\n{text}"))
+            };
+            assert!(of("start") < of("finish"), "{text}");
+            assert_eq!(
+                events[of("finish")].get("wall_ms").unwrap().as_f64(),
+                Some(5.0)
+            );
+        }
         // ms stamps are monotonically non-decreasing (single writer lock).
         let stamps: Vec<f64> = events
             .iter()
             .map(|v| v.get("ms").unwrap().as_f64().unwrap())
             .collect();
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn failed_points_emit_fail_records() {
-        let path = std::env::temp_dir().join(format!("mmt-progress-f{}.jsonl", std::process::id()));
-        let sink = ProgressSink::create(&path).unwrap();
-        let sup = Supervision {
-            deadline: Some(Duration::from_millis(40)),
-            retry: RetryPolicy::once(),
-        };
-        let out = run_supervised_progress(
-            &[0u32],
-            1,
-            &sup,
-            Some(&sink),
-            |_| "hung".to_string(),
-            |_| -> Result<u32, String> {
-                std::thread::sleep(Duration::from_secs(5));
-                Ok(0)
-            },
-        );
-        assert!(out[0].is_err());
-        let text = std::fs::read_to_string(&path).unwrap();
-        let fail_line = text
-            .lines()
-            .map(|l| mmt_obs::json::parse(l).unwrap())
-            .find(|v| v.get("event").unwrap().as_str() == Some("fail"))
-            .expect("fail record emitted");
-        assert_eq!(fail_line.get("kind").unwrap().as_str(), Some("timeout"));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -5,13 +5,13 @@
 //! watchdog and lands in the report as a `PointFailure` without
 //! aborting its sibling points.
 
-use mmt_bench::retry::RetryPolicy;
-use mmt_bench::sweep::{run_supervised, BenchReport, FailureKind, Supervision};
+use mmt_bench::sweep::{run_supervised, BenchReport, FailureKind};
 use mmt_bench::to_run_spec;
 use mmt_obs::json::Value;
 use mmt_sim::{MmtLevel, SimConfig, Simulator};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Canonicalize a parsed BENCH report: zero every wall-clock- or
@@ -19,13 +19,7 @@ use std::time::{Duration, Instant};
 /// keys are sorted by the parser's BTreeMap).
 fn canonicalize(v: &Value) -> String {
     fn zero_noise(v: &mut Value) {
-        const NOISY: [&str; 5] = [
-            "jobs",
-            "total_wall_ms",
-            "wall_ms",
-            "sim_cycles_per_sec",
-            "attempts",
-        ];
+        const NOISY: [&str; 4] = ["jobs", "total_wall_ms", "wall_ms", "sim_cycles_per_sec"];
         match v {
             Value::Array(items) => items.iter_mut().for_each(zero_noise),
             Value::Object(map) => {
@@ -155,31 +149,30 @@ fn sigkilled_sweep_resumes_to_identical_canonical_bench_json() {
 #[test]
 fn livelocked_point_fails_supervision_without_aborting_siblings() {
     let apps = ["swaptions", "blackscholes", "fft"];
-    let sup = Supervision {
-        deadline: None,
-        retry: RetryPolicy::once(),
-    };
+    let calls = AtomicUsize::new(0);
     let outcomes = run_supervised(
         &apps,
         3,
-        &sup,
         |name| name.to_string(),
-        |name: &str| {
+        |&name| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            let error = |e: mmt_sim::SimError| (FailureKind::Error, e.to_string());
             let app = mmt_workloads::app_by_name(name).expect("known app");
             let mut cfg = SimConfig::paper_with(2, MmtLevel::Fxr);
             cfg.watchdog.livelock_window = 2_000;
             cfg.max_cycles = 10_000_000;
-            let mut sim =
-                Simulator::new(cfg, to_run_spec(app.instance(2, 16))).map_err(|e| e.to_string())?;
+            let mut sim = Simulator::new(cfg, to_run_spec(app.instance(2, 16))).map_err(error)?;
             if name == "blackscholes" {
                 // Park one thread's fetch forever: a true livelock the
                 // watchdog must convert into a typed error.
                 sim.debug_hang_thread(1);
             }
-            let result = sim.run().map_err(|e| e.to_string())?;
+            let result = sim.run().map_err(error)?;
             Ok(result.stats.cycles)
         },
     );
+    // One run per point: the failed one is not retried.
+    assert_eq!(calls.load(Ordering::SeqCst), apps.len());
 
     assert!(outcomes[0].is_ok(), "sibling 0 aborted: {:?}", outcomes[0]);
     assert!(outcomes[2].is_ok(), "sibling 2 aborted: {:?}", outcomes[2]);

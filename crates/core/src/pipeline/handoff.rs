@@ -62,8 +62,8 @@ impl Simulator {
     /// every queue, predictor, arena slot, and statistics counter is
     /// preserved (scratch-vector capacities included, so even
     /// [`SimStats::scratch_growth_events`](crate::SimStats::scratch_growth_events)
-    /// evolves identically). One checkpoint can be restored many times —
-    /// the fork point for sweep-grid runs that share a warmed prefix.
+    /// evolves identically). One checkpoint can be restored many
+    /// times.
     ///
     /// # Errors
     ///

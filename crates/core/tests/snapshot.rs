@@ -4,7 +4,9 @@
 //!
 //! 1. **Serde round-trip** (proptest): `ArchState -> JSON -> ArchState`
 //!    is the identity, including full-width `u64` payloads the vendored
-//!    f64-based JSON reader would otherwise round.
+//!    f64-based JSON reader would otherwise round; random bytes,
+//!    truncations and bit flips of a document fail with an `Err` (or
+//!    load the intact state), never a panic.
 //! 2. **Checkpoint/restore bit-identity**: a detailed run checkpointed at
 //!    cycle N and resumed must produce *bit-identical* `SimStats`, final
 //!    registers, and merge log vs the uninterrupted run — across the
@@ -373,6 +375,48 @@ proptest! {
         let back = back.unwrap();
         prop_assert_eq!(&state, &back);
         prop_assert_eq!(state.digest(), back.digest());
+    }
+}
+
+/// `from_json` of a damaged document: an `Err`, or exactly the state
+/// the intact document loads as (damage the integrity digest cannot
+/// see, such as in whitespace or the trailing newline). Never a panic.
+fn load_damaged(damaged: &[u8], intact: &ArchState) -> Result<(), String> {
+    if let Ok(state) = ArchState::from_json(&String::from_utf8_lossy(damaged)) {
+        prop_assert!(
+            &state == intact,
+            "damaged document loaded a different state"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn random_bytes_are_not_a_state(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        prop_assert!(ArchState::from_json(&String::from_utf8_lossy(&bytes)).is_err());
+    }
+
+    #[test]
+    fn truncated_documents_fail_cleanly(state in arbitrary_state(), cut in any::<usize>()) {
+        let doc = state.to_json();
+        let intact = ArchState::from_json(&doc)?;
+        load_damaged(&doc.as_bytes()[..cut % doc.len()], &intact)?;
+    }
+
+    #[test]
+    fn bit_flipped_documents_fail_cleanly(
+        state in arbitrary_state(),
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let mut doc = state.to_json().into_bytes();
+        let intact = ArchState::from_json(std::str::from_utf8(&doc).unwrap())?;
+        let at = at % doc.len();
+        doc[at] ^= 1 << bit;
+        load_damaged(&doc, &intact)?;
     }
 }
 

@@ -220,3 +220,50 @@ proptest! {
         prop_assert_eq!(reparsed, original);
     }
 }
+
+// ---------------------------------------------------------------------
+// Garbage input: the assembler returns a program or a `ParseError`,
+// never panics, and whatever it accepts round-trips.
+// ---------------------------------------------------------------------
+
+/// Parse `text`; a success must disassemble and reparse to itself.
+fn parse_garbage(text: &str) -> Result<(), String> {
+    if let Ok(program) = parse(text) {
+        let again = program.to_string();
+        let reparsed = parse(&again).map_err(|e| format!("{e}\n{again}"))?;
+        prop_assert!(reparsed == program, "{text:?} does not round-trip");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn random_bytes_parse_or_fail_cleanly(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        parse_garbage(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn truncated_disassembly_parses_or_fails_cleanly(
+        insts in prop::collection::vec(arb_inst(64), 1..32),
+        cut in any::<usize>(),
+    ) {
+        let text = mmt_isa::Program::from_insts(insts).to_string();
+        let cut = cut % (text.len() + 1);
+        prop_assert!(text.is_char_boundary(cut), "disassembly is ASCII");
+        parse_garbage(&text[..cut])?;
+    }
+
+    #[test]
+    fn corrupted_disassembly_parses_or_fails_cleanly(
+        insts in prop::collection::vec(arb_inst(64), 1..32),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = mmt_isa::Program::from_insts(insts).to_string().into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        parse_garbage(&String::from_utf8_lossy(&bytes))?;
+    }
+}
