@@ -1,6 +1,6 @@
 //! Divergence analysis: which control transfers can send lockstep
 //! threads down different paths, where they must reconverge, and how
-//! that feeds back into the invariance lattice.
+//! that feeds back into the abstract domain ([`crate::dataflow`]).
 //!
 //! ## Classification
 //!
@@ -22,21 +22,22 @@
 //! inside the region are path-dependent at any control-flow join where
 //! diverged threads can meet again — the reconvergence block itself and
 //! every multi-predecessor block inside the region (two distinct paths
-//! first meet at a block with two predecessors) — so the base lattice's
-//! `Invariant` claim is unsound there. The analysis therefore demotes
-//! those registers at those blocks (via
-//! [`Analysis::run_with_demotions`]) unless they provably hold one
-//! constant on every path, and iterates: demotion can make more
-//! branches divergent, which can add demotions. Demotion masks only
-//! grow, so the outer fixpoint terminates.
+//! first meet at a block with two predecessors) — so the plain
+//! fixpoint's `Invariant` claim is unsound there. The analysis therefore
+//! demotes those registers at those blocks (via
+//! [`Analysis::run_with_demotions`]) unless their value is pinned (the
+//! same exact `konst ⊞ coef·tid` on every path), and iterates: demotion
+//! can make more branches divergent, which can add demotions. Demotion
+//! masks only grow, so the outer fixpoint terminates.
 //!
-//! The result is the refined [`Analysis`] the merge oracle and the
-//! static predictor both build on: `Invariant` now really means "equal
-//! across threads whenever they are merged at this PC", including
-//! threads that remerged after taking different paths.
+//! The result is the refined [`Analysis`] the merge oracle, the static
+//! predictor, the memory analysis and value flow all build on:
+//! `Invariant` now really means "equal across threads whenever they are
+//! merged at this PC", including threads that remerged after taking
+//! different paths.
 
 use crate::cfg::Cfg;
-use crate::dataflow::{Analysis, Invariance, RegState};
+use crate::dataflow::{loads_invariant, Analysis, State};
 use crate::structure::PostDomTree;
 use mmt_isa::{Inst, MemSharing, Program};
 
@@ -83,11 +84,12 @@ impl DivergenceAnalysis {
     ) -> DivergenceAnalysis {
         let insts = prog.as_slice();
         let nb = cfg.blocks().len();
+        let loads = loads_invariant(prog, sharing);
         let mut demote = vec![0u32; nb];
         let mut rounds = 0;
         loop {
             rounds += 1;
-            let analysis = Analysis::run_with_demotions(prog, cfg, sharing, &demote);
+            let analysis = Analysis::run_with_demotions(prog, cfg, loads, &demote);
             let (classes, points) = classify_branches(insts, cfg, pdom, &analysis);
 
             let mut grew = false;
@@ -161,6 +163,35 @@ impl DivergenceAnalysis {
     pub fn rounds(&self) -> usize {
         self.rounds
     }
+
+    /// Per block: inside some divergence region (between a divergent
+    /// branch and its reconvergence point), so threads may reach it at
+    /// different times.
+    pub fn in_region(&self, cfg: &Cfg) -> Vec<bool> {
+        let mut inside = vec![false; cfg.blocks().len()];
+        for p in &self.points {
+            for b in region_blocks(cfg, p.block, p.reconverge) {
+                inside[b] = true;
+            }
+        }
+        inside
+    }
+
+    /// Per block: reachable from some divergent branch's successors, so
+    /// it may execute after a divergence (with a partial thread group).
+    pub fn tainted(&self, cfg: &Cfg) -> Vec<bool> {
+        let mut tainted = vec![false; cfg.blocks().len()];
+        let mut stack: Vec<usize> = Vec::new();
+        for p in &self.points {
+            stack.extend(cfg.blocks()[p.block].succs.iter().copied());
+        }
+        while let Some(b) = stack.pop() {
+            if !std::mem::replace(&mut tainted[b], true) {
+                stack.extend(cfg.blocks()[b].succs.iter().copied());
+            }
+        }
+        tainted
+    }
 }
 
 /// Classify every reachable control transfer and collect the divergent
@@ -202,10 +233,8 @@ fn classify_branches(
     (classes, points)
 }
 
-fn sources_invariant(inst: &Inst, state: &RegState) -> bool {
-    inst.sources()
-        .iter()
-        .all(|r| state.get(r).inv == Invariance::Invariant)
+fn sources_invariant(inst: &Inst, state: &State) -> bool {
+    inst.sources().iter().all(|r| state.get(r).is_invariant())
 }
 
 /// Blocks reachable from `block`'s successors without passing through
@@ -246,6 +275,7 @@ fn written_mask(insts: &[Inst], cfg: &Cfg, blocks: &[usize]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::Invariance;
     use crate::structure::PostDomTree;
     use mmt_isa::asm::Builder;
     use mmt_isa::Reg;
@@ -313,22 +343,22 @@ mod tests {
         let (_, _, div) = run(b, MemSharing::Shared);
         let s = div.analysis().before(7).unwrap();
         assert_eq!(
-            s.get(Reg::R2).inv,
+            s.get(Reg::R2).invariance(),
             Invariance::ThreadDependent,
             "written differently per path of a divergent region"
         );
         assert_eq!(
-            s.get(Reg::R3).inv,
+            s.get(Reg::R3).invariance(),
             Invariance::Invariant,
             "same constant on every path stays invariant"
         );
         // The consumer of R2 is thread-dependent too.
         assert_eq!(
-            div.analysis().before(9).unwrap().get(Reg::R4).inv,
+            div.analysis().before(9).unwrap().get(Reg::R4).invariance(),
             Invariance::ThreadDependent
         );
         assert_eq!(
-            div.analysis().before(9).unwrap().get(Reg::R5).inv,
+            div.analysis().before(9).unwrap().get(Reg::R5).invariance(),
             Invariance::Invariant
         );
     }
@@ -371,7 +401,7 @@ mod tests {
         assert!(div.divergence_points().is_empty());
         assert!(div.demotions().iter().all(|&m| m == 0));
         assert_eq!(
-            div.analysis().before(2).unwrap().get(Reg::R2).konst,
+            div.analysis().before(2).unwrap().get(Reg::R2).as_const(),
             Some(7)
         );
     }

@@ -4,26 +4,28 @@
 //!
 //! 1. [`callgraph`] + [`mod@cfg`] + [`dataflow`] — interprocedural call
 //!    graph (`jal`/`jr` return-site summaries), basic-block CFG
-//!    construction, and a forward dataflow pass computing, per register
-//!    and program point, a thread-invariance lattice ([`Invariance`]),
-//!    constant values, and definite initialization.
+//!    construction, and the crate's one abstract domain: per register
+//!    and program point, a [`Fact`] `konst ⊞ coef·tid ⊞ residue` (an
+//!    interval-bounded residue with a thread-invariance flag) plus
+//!    `written` and `loaded` bits, computed by one transfer, one join
+//!    and one fixpoint driver. Every client below reads one of its three
+//!    projections: [`Invariance`], [`ValueClass`] or [`AccessClass`].
 //! 2. [`structure`] + [`divergence`] — dominator and post-dominator
 //!    trees, natural-loop detection, and the divergence analysis:
 //!    every branch is classified thread-invariant or divergent, and
 //!    registers written inside a divergent region lose their invariance
 //!    claim at the reconvergence point (the branch's immediate
-//!    post-dominator).
+//!    post-dominator). Its outer loop runs the [`dataflow`] driver.
 //! 3. [`lint`] — a program linter built on those facts: out-of-range
 //!    branch targets, falling off the end without `halt`, unreachable
 //!    blocks, reads of never-written registers, stores into the reserved
 //!    low-memory region, unresolvable indirect jumps.
-//! 4. [`memdep`] — the address-expression abstract interpretation:
-//!    every load/store PC is classified thread-**invariant**,
-//!    **tid-private** (affine in the thread id with disjoint per-thread
-//!    ranges), or **shared/unknown**, and shared-memory programs get a
-//!    static data-race candidate list consumed by the lint layer
-//!    ([`lint_program_with_sharing`]) and validated differentially by
-//!    the `mmtmem` bench binary.
+//! 4. [`memdep`] — the [`AccessClass`] projection at every load/store:
+//!    thread-**invariant**, **tid-private** (affine in the thread id
+//!    with disjoint per-thread ranges), or **shared/unknown**, and
+//!    shared-memory programs get a static data-race candidate list
+//!    consumed by the lint layer ([`lint_program_with_sharing`]) and
+//!    validated differentially by the `mmtmem` bench binary.
 //! 5. [`oracle`] + [`mod@predict`] — the differential redundancy oracle: a
 //!    static must-merge / may-merge / must-split classification of every
 //!    instruction, and [`Oracle::check`], which replays the simulator's
@@ -36,13 +38,13 @@
 //!    bounds, validated dynamically by the `mmtpredict` bench binary.
 //! 6. [`ssa`] + [`valueflow`] — SSA construction over the CFG/dominator
 //!    infrastructure, and the thread-parametric value-flow analysis:
-//!    every SSA value is abstracted as an affine `a + b·tid` polynomial
-//!    ([`ValueClass`]: Identical / AffineTid / ThreadDependent / Top),
-//!    a static model of the Register Sharing Table brackets every PC's
-//!    exec-merge fraction (guaranteed-merge and never-merge claims), and
-//!    the result tightens the LVIP value-identity brackets
-//!    ([`predict_lvip`]). Validated dynamically by the `mmtvalue` bench
-//!    binary against the simulator's per-PC profile.
+//!    every SSA value gets the [`ValueClass`] projection of its fact
+//!    (Identical / AffineTid / ThreadDependent / Top), a static model of
+//!    the Register Sharing Table brackets every PC's exec-merge fraction
+//!    (guaranteed-merge and never-merge claims), and the result tightens
+//!    the LVIP value-identity brackets ([`predict_lvip`]). Validated
+//!    dynamically by the `mmtvalue` bench binary against the simulator's
+//!    per-PC profile.
 //!
 //! ## Example
 //!
@@ -85,7 +87,7 @@ pub mod valueflow;
 
 pub use callgraph::{CallGraph, Function};
 pub use cfg::{BasicBlock, Cfg};
-pub use dataflow::{Analysis, Invariance, RegFact, RegState};
+pub use dataflow::{Analysis, Fact, Invariance, State};
 pub use divergence::{BranchClass, DivergenceAnalysis, DivergencePoint};
 pub use lint::{has_errors, lint_program, lint_program_with_sharing, Lint, LintKind, Severity};
 pub use memdep::{AccessClass, MemAccess, MemDepAnalysis, RacePair};

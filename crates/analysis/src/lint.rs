@@ -208,7 +208,7 @@ pub fn lint_program(prog: &Program) -> Vec<Lint> {
             continue; // unreachable: already reported above
         };
         for r in inst.sources().iter() {
-            if !r.is_zero() && !state.get(r).written && !reported_read[r.index()] {
+            if !r.is_zero() && !state.get(r).written() && !reported_read[r.index()] {
                 reported_read[r.index()] = true;
                 lints.push(Lint {
                     pc: Some(pc as u64),
@@ -222,7 +222,7 @@ pub fn lint_program(prog: &Program) -> Vec<Lint> {
             }
         }
         if let Inst::St { base, off, .. } = *inst {
-            if let Some(b) = state.get(base).konst {
+            if let Some(b) = state.get(base).as_const() {
                 let addr = b.wrapping_add_signed(off);
                 if addr < RESERVED_WORDS {
                     lints.push(Lint {

@@ -1,32 +1,11 @@
-//! Static memory divergence analysis: an address-expression abstract
-//! interpretation over loads and stores.
-//!
-//! ## The domain
-//!
-//! Every register value at a program point is abstracted as
-//!
-//! ```text
-//! v(t) = konst  ⊞  coef·t  ⊞  r        (⊞ = wrapping u64 add)
-//! ```
-//!
-//! where `t` is the hardware thread id, `konst` is a known constant,
-//! `coef` is the tid coefficient (`None` = unknown tid dependence, the
-//! lattice top), and `r` is a *residue* with optional interval bounds and
-//! an `inv` flag asserting the residue is thread-invariant (equal across
-//! all lockstep threads). The domain subsumes [`crate::dataflow`]'s
-//! invariance lattice — `coef = Some(0)` plus `inv` is exactly
-//! [`crate::dataflow::Invariance::Invariant`] — and adds the two facts
-//! that matter for memory: *affine-in-tid* strides and *bounded* index
-//! residues.
-//!
-//! The bounded residue is the linchpin for the workload generator's
-//! addressing idiom `base + tid·STRIDE + (index & MASK)`: the masked
-//! index is not affine in anything, but it is bounded by the mask, so a
-//! stride larger than the mask span proves per-thread disjointness.
+//! Static memory divergence analysis: every load/store PC's effective
+//! address, read off the one abstract domain ([`crate::dataflow`]).
 //!
 //! ## Classification
 //!
-//! Every reachable load/store PC gets an [`AccessClass`]:
+//! Every reachable load/store PC gets an [`AccessClass`], the
+//! [`Fact::access_class`] projection of its address fact
+//! `konst ⊞ coef·t ⊞ r`:
 //!
 //! * [`AccessClass::Invariant`] — `coef = 0` and the residue is
 //!   thread-invariant: all lockstep threads compute the *same* address.
@@ -38,16 +17,11 @@
 //!
 //! ## Soundness
 //!
-//! Divergent control flow can make a register's value depend on which
-//! path a thread took; the analysis reuses the divergence fixpoint's
-//! per-block demotion masks ([`DivergenceAnalysis::demotions`]) and drops
-//! the `inv` claim for any demoted register whose value is not provably
-//! path-independent (an exact `konst ⊞ coef·t` with a pinned residue is
-//! the same formula on every path and keeps its claim). Interval
-//! arithmetic uses checked operations that degrade to "unbounded" rather
-//! than wrap, loop-carried residues are widened to unbounded after a
-//! bounded number of joins, and the tid-disjointness test carries an
-//! explicit magnitude guard so `u64` address wrap-around cannot alias two
+//! The facts are the divergence-refined ones
+//! ([`DivergenceAnalysis::analysis`]): a register written differently on
+//! the paths of a divergent region has lost its `inv` claim unless its
+//! value is pinned. The tid-disjointness test carries an explicit
+//! magnitude guard so `u64` address wrap-around cannot alias two
 //! "disjoint" threads. The claims are validated differentially by the
 //! `mmtmem` bench binary: a per-PC address profile from the pipeline plus
 //! an interleaved functional execution must never contradict a static
@@ -60,407 +34,11 @@
 //! spin loops the analysis sees as plain loads/stores).
 
 use crate::cfg::Cfg;
+use crate::dataflow::Fact;
 use crate::divergence::DivergenceAnalysis;
 use crate::structure::PostDomTree;
-use mmt_isa::reg::NUM_REGS;
-use mmt_isa::{AluOp, Inst, MemSharing, Program, Reg, MAX_THREADS};
-use std::collections::VecDeque;
+use mmt_isa::{Inst, MemSharing, Program, MAX_THREADS};
 use std::fmt;
-
-/// Joins into one block before loop-carried residue intervals are
-/// widened to unbounded (a small constant: intervals only delay the
-/// finite-lattice parts, they never refine them back).
-const WIDEN_AFTER: u32 = 4;
-
-/// Abstract value `konst ⊞ coef·tid ⊞ residue` for one register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddrFact {
-    /// Known constant component (wrapping u64).
-    konst: u64,
-    /// Tid coefficient; `None` is the lattice top (unknown dependence).
-    coef: Option<i64>,
-    /// Inclusive residue bounds; `None` = unbounded.
-    resid: Option<(i64, i64)>,
-    /// The residue is thread-invariant (equal across lockstep threads).
-    inv: bool,
-}
-
-impl AddrFact {
-    /// The lattice top: nothing known.
-    fn top() -> AddrFact {
-        AddrFact {
-            konst: 0,
-            coef: None,
-            resid: None,
-            inv: false,
-        }
-    }
-
-    /// An exact constant.
-    fn constant(k: u64) -> AddrFact {
-        AddrFact {
-            konst: k,
-            coef: Some(0),
-            resid: Some((0, 0)),
-            inv: true,
-        }
-    }
-
-    /// The hardware thread id itself.
-    fn tid() -> AddrFact {
-        AddrFact {
-            konst: 0,
-            coef: Some(1),
-            resid: Some((0, 0)),
-            inv: true,
-        }
-    }
-
-    /// Thread-invariant but otherwise unknown (e.g. a load from shared
-    /// never-written memory at an invariant address).
-    fn invariant_unknown() -> AddrFact {
-        AddrFact {
-            konst: 0,
-            coef: Some(0),
-            resid: None,
-            inv: true,
-        }
-    }
-
-    /// The exact value, when fully pinned.
-    fn as_const(&self) -> Option<u64> {
-        if self.coef == Some(0) && self.resid == Some((0, 0)) {
-            Some(self.konst)
-        } else {
-            None
-        }
-    }
-
-    /// Provably equal across all lockstep threads.
-    fn is_invariant(&self) -> bool {
-        self.coef == Some(0) && self.inv
-    }
-
-    /// `konst ⊞ coef·t ⊞ r` with `r` exactly pinned: the value is a pure
-    /// function of the thread id, hence path-independent.
-    fn is_pinned(&self) -> bool {
-        self.resid == Some((0, 0))
-    }
-
-    /// Canonical form: fold a pinned residue into `konst`, and a pinned
-    /// residue is trivially thread-invariant.
-    fn normalize(mut self) -> AddrFact {
-        if self.coef.is_none() {
-            return AddrFact::top();
-        }
-        if let Some((l, h)) = self.resid {
-            debug_assert!(l <= h, "interval bounds ordered");
-            if l == h && l != 0 {
-                self.konst = self.konst.wrapping_add_signed(l);
-                self.resid = Some((0, 0));
-            }
-            if self.resid == Some((0, 0)) {
-                self.inv = true;
-            }
-        }
-        self
-    }
-
-    /// Fold the tid term into the residue bounds (`t ∈ 0..MAX_THREADS`),
-    /// giving a `coef = 0` over-approximation. Loses `inv` for a nonzero
-    /// coefficient: the folded value genuinely differs per thread.
-    fn drop_affine(self) -> AddrFact {
-        let Some(c) = self.coef else {
-            return AddrFact::top();
-        };
-        if c == 0 {
-            return self;
-        }
-        let spread = c.checked_mul(MAX_THREADS as i64 - 1);
-        let resid = match (self.resid, spread) {
-            (Some((l, h)), Some(s)) => match (l.checked_add(s.min(0)), h.checked_add(s.max(0))) {
-                (Some(lo), Some(hi)) => Some((lo, hi)),
-                _ => None,
-            },
-            _ => None,
-        };
-        AddrFact {
-            konst: self.konst,
-            coef: Some(0),
-            resid,
-            inv: false,
-        }
-        .normalize()
-    }
-
-    /// Fold a load/store immediate offset into the constant base.
-    fn offset(self, off: i64) -> AddrFact {
-        AddrFact {
-            konst: self.konst.wrapping_add_signed(off),
-            ..self
-        }
-    }
-}
-
-/// Join at a control-flow merge (interval hull; `widen` drops a grown
-/// interval to unbounded so loop-carried residues terminate).
-fn join(old: AddrFact, incoming: AddrFact, widen: bool) -> AddrFact {
-    let mut j = join_exact(old, incoming);
-    if widen && j.resid != old.resid {
-        j.resid = None;
-    }
-    j
-}
-
-fn join_exact(a: AddrFact, b: AddrFact) -> AddrFact {
-    let (Some(ca), Some(cb)) = (a.coef, b.coef) else {
-        return AddrFact::top();
-    };
-    if ca != cb {
-        // Rebase both onto coef 0 and re-join (one level of recursion).
-        return join_exact(a.drop_affine(), b.drop_affine());
-    }
-    // Rebase b onto a's constant: the displacement is exact mod 2^64, so
-    // folding it into b's residue preserves the concrete value set.
-    let d = b.konst.wrapping_sub(a.konst) as i64;
-    let b_res = b
-        .resid
-        .and_then(|(l, h)| Some((l.checked_add(d)?, h.checked_add(d)?)));
-    let resid = match (a.resid, b_res) {
-        (Some((al, ah)), Some((bl, bh))) => Some((al.min(bl), ah.max(bh))),
-        _ => None,
-    };
-    AddrFact {
-        konst: a.konst,
-        coef: Some(ca),
-        resid,
-        inv: a.inv && b.inv,
-    }
-    .normalize()
-}
-
-/// Fallback combine for operations with no linear model: invariance is
-/// closed under every deterministic operation, nothing else survives.
-fn opaque(a: AddrFact, b: AddrFact) -> AddrFact {
-    if a.is_invariant() && b.is_invariant() {
-        AddrFact::invariant_unknown()
-    } else {
-        AddrFact::top()
-    }
-}
-
-fn linear_add(a: AddrFact, b: AddrFact) -> AddrFact {
-    let (Some(ca), Some(cb)) = (a.coef, b.coef) else {
-        return opaque(a, b);
-    };
-    let Some(c) = ca.checked_add(cb) else {
-        return opaque(a, b);
-    };
-    let resid = match (a.resid, b.resid) {
-        (Some((al, ah)), Some((bl, bh))) => match (al.checked_add(bl), ah.checked_add(bh)) {
-            (Some(l), Some(h)) => Some((l, h)),
-            _ => None,
-        },
-        _ => None,
-    };
-    AddrFact {
-        konst: a.konst.wrapping_add(b.konst),
-        coef: Some(c),
-        resid,
-        inv: a.inv && b.inv,
-    }
-    .normalize()
-}
-
-fn linear_sub(a: AddrFact, b: AddrFact) -> AddrFact {
-    let (Some(ca), Some(cb)) = (a.coef, b.coef) else {
-        return opaque(a, b);
-    };
-    let Some(c) = ca.checked_sub(cb) else {
-        return opaque(a, b);
-    };
-    let resid = match (a.resid, b.resid) {
-        (Some((al, ah)), Some((bl, bh))) => match (al.checked_sub(bh), ah.checked_sub(bl)) {
-            (Some(l), Some(h)) => Some((l, h)),
-            _ => None,
-        },
-        _ => None,
-    };
-    AddrFact {
-        konst: a.konst.wrapping_sub(b.konst),
-        coef: Some(c),
-        resid,
-        inv: a.inv && b.inv,
-    }
-    .normalize()
-}
-
-/// Multiply by a known constant (linear: every term scales). The cast of
-/// `m` to `i64` is congruent mod 2^64, so the scaled terms stay exact;
-/// checked arithmetic degrades to unbounded instead of wrapping.
-fn scale(a: AddrFact, m: u64) -> AddrFact {
-    let mi = m as i64;
-    let Some(ca) = a.coef else {
-        return opaque(a, AddrFact::constant(m));
-    };
-    let Some(c) = ca.checked_mul(mi) else {
-        return opaque(a, AddrFact::constant(m));
-    };
-    let resid = a.resid.and_then(|(l, h)| {
-        let x = l.checked_mul(mi)?;
-        let y = h.checked_mul(mi)?;
-        Some((x.min(y), x.max(y)))
-    });
-    AddrFact {
-        konst: a.konst.wrapping_mul(m),
-        coef: Some(c),
-        resid,
-        inv: a.inv,
-    }
-    .normalize()
-}
-
-/// AND with a known mask: the result lands in `[0, m]` whatever the
-/// other operand is — the crucial transfer for `index & (WS - 1)`
-/// addressing. Thread-invariance survives only if the masked operand was
-/// wholly invariant.
-fn and_mask(a: AddrFact, b: AddrFact) -> AddrFact {
-    let (masked, m) = if let Some(m) = b.as_const() {
-        (a, m)
-    } else if let Some(m) = a.as_const() {
-        (b, m)
-    } else {
-        return opaque(a, b);
-    };
-    if m > i64::MAX as u64 {
-        return opaque(masked, AddrFact::constant(m));
-    }
-    AddrFact {
-        konst: 0,
-        coef: Some(0),
-        resid: Some((0, m as i64)),
-        inv: masked.is_invariant(),
-    }
-    .normalize()
-}
-
-/// Transfer one ALU operation.
-fn alu_fact(op: AluOp, a: AddrFact, b: AddrFact) -> AddrFact {
-    if let (Some(x), Some(y)) = (a.as_const(), b.as_const()) {
-        return AddrFact::constant(op.apply(x, y));
-    }
-    match op {
-        AluOp::Add => linear_add(a, b),
-        AluOp::Sub => linear_sub(a, b),
-        AluOp::Mul => {
-            if let Some(m) = b.as_const() {
-                scale(a, m)
-            } else if let Some(m) = a.as_const() {
-                scale(b, m)
-            } else {
-                opaque(a, b)
-            }
-        }
-        AluOp::And => and_mask(a, b),
-        AluOp::Slt => AddrFact {
-            konst: 0,
-            coef: Some(0),
-            resid: Some((0, 1)),
-            inv: a.is_invariant() && b.is_invariant(),
-        }
-        .normalize(),
-        _ => opaque(a, b),
-    }
-}
-
-/// Per-register address facts at a program point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct AddrState {
-    regs: [AddrFact; NUM_REGS],
-}
-
-impl AddrState {
-    /// Entry state: every register holds the reset value zero.
-    fn entry() -> AddrState {
-        AddrState {
-            regs: [AddrFact::constant(0); NUM_REGS],
-        }
-    }
-
-    fn get(&self, r: Reg) -> AddrFact {
-        self.regs[r.index()]
-    }
-
-    fn set(&mut self, r: Reg, f: AddrFact) {
-        if !r.is_zero() {
-            self.regs[r.index()] = f;
-        }
-    }
-
-    /// Divergence demotion, mirroring [`crate::dataflow`]: a demoted
-    /// register loses its thread-invariance claim unless its value is a
-    /// pure function of the thread id (the same formula on every path).
-    fn demote(&mut self, mask: u32) -> bool {
-        if mask == 0 {
-            return false;
-        }
-        let mut changed = false;
-        for (i, fact) in self.regs.iter_mut().enumerate() {
-            if mask & (1u32 << i) == 0 || fact.is_pinned() {
-                continue;
-            }
-            if fact.inv {
-                fact.inv = false;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    fn join_from(&mut self, other: &AddrState, widen: bool) -> bool {
-        let mut changed = false;
-        for (mine, theirs) in self.regs.iter_mut().zip(&other.regs) {
-            let joined = join(*mine, *theirs, widen);
-            if joined != *mine {
-                *mine = joined;
-                changed = true;
-            }
-        }
-        changed
-    }
-}
-
-/// Transfer one instruction (mirrors [`crate::dataflow`]'s model, lifted
-/// to the address domain).
-fn transfer(state: &mut AddrState, pc: u64, inst: &Inst, loads_invariant: bool) {
-    match *inst {
-        Inst::Alu { op, rd, rs1, rs2 } => {
-            let f = alu_fact(op, state.get(rs1), state.get(rs2));
-            state.set(rd, f);
-        }
-        Inst::AluI { op, rd, rs1, imm } => {
-            let f = alu_fact(op, state.get(rs1), AddrFact::constant(imm as u64));
-            state.set(rd, f);
-        }
-        Inst::Fpu { rd, rs1, rs2, .. } => {
-            let f = opaque(state.get(rs1), state.get(rs2));
-            state.set(rd, f);
-        }
-        Inst::Ld { rd, base, .. } => {
-            let b = state.get(base);
-            let f = if loads_invariant && b.is_invariant() {
-                AddrFact::invariant_unknown()
-            } else {
-                AddrFact::top()
-            };
-            state.set(rd, f);
-        }
-        Inst::Jal { rd, .. } => state.set(rd, AddrFact::constant(pc + 1)),
-        Inst::Tid { rd } => state.set(rd, AddrFact::tid()),
-        Inst::St { .. } | Inst::Br { .. } | Inst::Jmp { .. } | Inst::Jr { .. } => {}
-        Inst::Halt | Inst::Nop => {}
-    }
-}
 
 /// Static classification of one memory-access PC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -493,54 +71,6 @@ impl fmt::Display for AccessClass {
     }
 }
 
-fn classify(fact: &AddrFact) -> AccessClass {
-    let Some(c) = fact.coef else {
-        return AccessClass::Shared { bounds: None };
-    };
-    if c == 0 {
-        if fact.inv {
-            return AccessClass::Invariant;
-        }
-        return AccessClass::Shared {
-            bounds: bounds_all_threads(fact),
-        };
-    }
-    let span_ok = fact.inv
-        || fact.resid.is_some_and(|(l, h)| {
-            h.checked_sub(l)
-                .is_some_and(|s| (s as u64) < c.unsigned_abs())
-        });
-    // Magnitude guard: the cross-thread address difference
-    // `c·Δt + Δresidue` must be nonzero mod 2^64, which `|c|·(T-1)` and
-    // a span below `|c|` guarantee as long as everything stays far from
-    // the wrap point.
-    let guard = c
-        .unsigned_abs()
-        .checked_mul(MAX_THREADS as u64 - 1)
-        .is_some_and(|x| x < 1 << 62);
-    if span_ok && guard {
-        AccessClass::TidPrivate { stride: c }
-    } else {
-        AccessClass::Shared {
-            bounds: bounds_all_threads(fact),
-        }
-    }
-}
-
-/// Inclusive word bounds over every thread id, when they exist without
-/// wrapping.
-fn bounds_all_threads(fact: &AddrFact) -> Option<(u64, u64)> {
-    let c = fact.coef?;
-    let (l, h) = fact.resid?;
-    let spread = c.checked_mul(MAX_THREADS as i64 - 1)?;
-    let lo = l.checked_add(spread.min(0))?;
-    let hi = h.checked_add(spread.max(0))?;
-    Some((
-        fact.konst.checked_add_signed(lo)?,
-        fact.konst.checked_add_signed(hi)?,
-    ))
-}
-
 /// One statically-classified memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
@@ -554,18 +84,14 @@ pub struct MemAccess {
     /// branch and its reconvergence point), so threads may reach it at
     /// different times.
     pub in_divergent_region: bool,
-    fact: AddrFact,
+    fact: Fact,
 }
 
 impl MemAccess {
     /// Inclusive word-address range thread `t` may touch at this PC, or
     /// `None` when unbounded.
     pub fn thread_range(&self, t: usize) -> Option<(u64, u64)> {
-        let c = self.fact.coef?;
-        let (l, h) = self.fact.resid?;
-        let shift = c.checked_mul(t as i64)?;
-        let base = self.fact.konst.checked_add_signed(shift)?;
-        Some((base.checked_add_signed(l)?, base.checked_add_signed(h)?))
+        self.fact.thread_range(t)
     }
 }
 
@@ -593,112 +119,40 @@ pub struct MemDepAnalysis {
 }
 
 impl MemDepAnalysis {
-    /// Run the analysis: CFG + divergence fixpoint + the address-domain
-    /// fixpoint, classifying every reachable load/store. Race candidates
-    /// are computed only for [`MemSharing::Shared`] (per-thread memories
+    /// Run the analysis: CFG + divergence fixpoint, then classify every
+    /// reachable load/store from the refined facts. Race candidates are
+    /// computed only for [`MemSharing::Shared`] (per-thread memories
     /// cannot race by construction).
     pub fn run(prog: &Program, sharing: MemSharing) -> MemDepAnalysis {
-        let insts = prog.as_slice();
-        let n = insts.len();
-        let mut out = MemDepAnalysis {
-            accesses: Vec::new(),
-            index: vec![None; n],
-            races: Vec::new(),
-        };
-        if n == 0 {
-            return out;
-        }
         let cfg = Cfg::build(prog);
         let pdom = PostDomTree::build(&cfg);
         let div = DivergenceAnalysis::run(prog, &cfg, &pdom, sharing);
-        let loads_invariant = div.analysis().loads_invariant();
-        let demote = div.demotions();
-        let nb = cfg.blocks().len();
-
-        // Address-domain fixpoint, structured like `dataflow::run_with_
-        // demotions` plus interval widening.
-        let mask_of = |b: usize| demote.get(b).copied().unwrap_or(0);
-        let mut inb: Vec<Option<AddrState>> = vec![None; nb];
-        let mut joins: Vec<u32> = vec![0; nb];
-        let mut entry = AddrState::entry();
-        entry.demote(mask_of(cfg.entry()));
-        inb[cfg.entry()] = Some(entry);
-        let mut work: VecDeque<usize> = VecDeque::from([cfg.entry()]);
-        while let Some(b) = work.pop_front() {
-            let blk = &cfg.blocks()[b];
-            let mut state = inb[b].clone().expect("worklist holds initialized blocks");
-            for pc in blk.pcs() {
-                transfer(&mut state, pc, &insts[pc as usize], loads_invariant);
-            }
-            for &succ in &blk.succs {
-                let widen = joins[succ] >= WIDEN_AFTER;
-                let mask = mask_of(succ);
-                let changed = match &mut inb[succ] {
-                    Some(t) => {
-                        let j = t.join_from(&state, widen);
-                        t.demote(mask) || j
-                    }
-                    slot @ None => {
-                        let mut s = state.clone();
-                        s.demote(mask);
-                        *slot = Some(s);
-                        true
-                    }
-                };
-                if changed {
-                    joins[succ] = joins[succ].saturating_add(1);
-                    if !work.contains(&succ) {
-                        work.push_back(succ);
-                    }
-                }
-            }
-        }
-
-        // Divergence-region membership (between a divergent branch and
-        // its reconvergence point), for race severity context.
-        let mut in_region = vec![false; nb];
-        for p in div.divergence_points() {
-            let mut stack: Vec<usize> = cfg.blocks()[p.block].succs.clone();
-            let mut seen = vec![false; nb];
-            while let Some(b) = stack.pop() {
-                if Some(b) == p.reconverge || std::mem::replace(&mut seen[b], true) {
-                    continue;
-                }
-                in_region[b] = true;
-                stack.extend(cfg.blocks()[b].succs.iter().copied());
-            }
-        }
-
-        // Final pass: classify every reachable access.
-        for (bidx, blk) in cfg.blocks().iter().enumerate() {
-            let Some(mut state) = inb[bidx].clone() else {
+        let in_region = div.in_region(&cfg);
+        let mut out = MemDepAnalysis {
+            accesses: Vec::new(),
+            index: vec![None; prog.len()],
+            races: Vec::new(),
+        };
+        for (pc, inst) in prog.iter() {
+            let (is_store, base, off) = match inst {
+                Inst::Ld { base, off, .. } => (false, base, off),
+                Inst::St { base, off, .. } => (true, base, off),
+                _ => continue,
+            };
+            let Some(state) = div.analysis().before(pc) else {
                 continue;
             };
-            for pc in blk.pcs() {
-                let inst = &insts[pc as usize];
-                let access = match *inst {
-                    Inst::Ld { base, off, .. } => Some((false, state.get(base).offset(off))),
-                    Inst::St { base, off, .. } => Some((true, state.get(base).offset(off))),
-                    _ => None,
-                };
-                if let Some((is_store, fact)) = access {
-                    out.index[pc as usize] = Some(out.accesses.len());
-                    out.accesses.push(MemAccess {
-                        pc,
-                        is_store,
-                        class: classify(&fact),
-                        in_divergent_region: in_region[bidx],
-                        fact,
-                    });
-                }
-                transfer(&mut state, pc, inst, loads_invariant);
-            }
+            let fact = state.get(base).offset(off);
+            let block = cfg.block_of(pc).expect("analyzed PCs are in the program");
+            out.index[pc as usize] = Some(out.accesses.len());
+            out.accesses.push(MemAccess {
+                pc,
+                is_store,
+                class: fact.access_class(),
+                in_divergent_region: in_region[block],
+                fact,
+            });
         }
-        out.accesses.sort_by_key(|a| a.pc);
-        for (i, a) in out.accesses.iter().enumerate() {
-            out.index[a.pc as usize] = Some(i);
-        }
-
         if sharing == MemSharing::Shared {
             out.find_races();
         }
@@ -776,7 +230,7 @@ fn ranges_may_overlap(a: Option<(u64, u64)>, b: Option<(u64, u64)>) -> bool {
 mod tests {
     use super::*;
     use mmt_isa::asm::Builder;
-    use mmt_isa::Reg;
+    use mmt_isa::{AluOp, Reg};
 
     fn run(b: Builder, sharing: MemSharing) -> (Program, MemDepAnalysis) {
         let prog = b.build().unwrap();

@@ -13,7 +13,7 @@
 //! instructions — two independent derivations that must agree.
 
 use crate::cfg::Cfg;
-use crate::dataflow::Invariance;
+use crate::dataflow::State;
 use crate::divergence::DivergenceAnalysis;
 use crate::structure::PostDomTree;
 use mmt_isa::{Inst, MemSharing, Program, MAX_THREADS};
@@ -204,18 +204,11 @@ impl Oracle {
 
 /// Classify one instruction given the dataflow state before it. Shared
 /// with the static predictor so both always agree per PC.
-pub(crate) fn classify(
-    inst: &Inst,
-    state: &crate::dataflow::RegState,
-    loads_invariant: bool,
-) -> MergeClass {
+pub(crate) fn classify(inst: &Inst, state: &State, loads_invariant: bool) -> MergeClass {
     if matches!(inst, Inst::Tid { .. }) {
         return MergeClass::MustSplit;
     }
-    let sources_invariant = inst
-        .sources()
-        .iter()
-        .all(|r| state.get(r).inv == Invariance::Invariant);
+    let sources_invariant = inst.sources().iter().all(|r| state.get(r).is_invariant());
     if !sources_invariant {
         return MergeClass::MayMerge;
     }

@@ -113,36 +113,15 @@ pub fn predict(prog: &Program, sharing: MemSharing, threads: usize) -> Predictio
     let div = DivergenceAnalysis::run(prog, &cfg, &pdom, sharing);
     let analysis = div.analysis();
     let insts = prog.as_slice();
-    let nb = cfg.blocks().len();
     let t = threads.max(1) as f64;
 
     // Taint: blocks reachable from any divergent branch's successors —
-    // everything that can possibly execute after a divergence.
-    let mut tainted = vec![false; nb];
-    let mut stack: Vec<usize> = Vec::new();
-    for p in div.divergence_points() {
-        stack.extend(cfg.blocks()[p.block].succs.iter().copied());
-    }
-    while let Some(b) = stack.pop() {
-        if std::mem::replace(&mut tainted[b], true) {
-            continue;
-        }
-        stack.extend(cfg.blocks()[b].succs.iter().copied());
-    }
-
-    // Region taint: only the blocks strictly inside a divergence region
-    // (between the branch and its reconvergence point) — the ideal-
-    // reconvergence model's split set.
-    let mut region_tainted = vec![false; nb];
-    for p in div.divergence_points() {
-        let mut stack: Vec<usize> = cfg.blocks()[p.block].succs.clone();
-        while let Some(b) = stack.pop() {
-            if Some(b) == p.reconverge || std::mem::replace(&mut region_tainted[b], true) {
-                continue;
-            }
-            stack.extend(cfg.blocks()[b].succs.iter().copied());
-        }
-    }
+    // everything that can possibly execute after a divergence. Region
+    // taint: only the blocks strictly inside a divergence region (between
+    // the branch and its reconvergence point) — the ideal-reconvergence
+    // model's split set.
+    let tainted = div.tainted(&cfg);
+    let region_tainted = div.in_region(&cfg);
 
     let mut reachable_insts = 0usize;
     let (mut must, mut may, mut split) = (0usize, 0usize, 0usize);
@@ -190,7 +169,7 @@ pub fn predict(prog: &Program, sharing: MemSharing, threads: usize) -> Predictio
                     let expected_differs = inst
                         .sources()
                         .iter()
-                        .any(|r| state.get(r).inv == Invariance::ThreadDependent);
+                        .any(|r| state.get(r).invariance() == Invariance::ThreadDependent);
                     w_degree += if expected_differs {
                         w * t
                     } else {
@@ -223,7 +202,15 @@ pub fn predict(prog: &Program, sharing: MemSharing, threads: usize) -> Predictio
         } else {
             0.0
         };
-    let vf = ValueFlowAnalysis::run(prog, sharing, ValueFlowOptions::default());
+    let vf = ValueFlowAnalysis::from_divergence(
+        prog,
+        sharing,
+        ValueFlowOptions::default(),
+        &cfg,
+        &dom,
+        &loops,
+        &div,
+    );
     let savings_est = vf
         .savings_estimate(threads)
         .clamp(savings_lower, savings_upper);

@@ -2,19 +2,18 @@
 //! provably hold *identical* values across threads, which provably
 //! differ, and what that means for execution merging.
 //!
-//! ## The lattice
+//! ## The classes
 //!
-//! Every register (and hence every SSA value) is abstracted as an affine
-//! polynomial in the hardware thread id:
+//! Every register (and hence every SSA value) carries the crate's one
+//! abstract fact ([`crate::dataflow`]), an affine polynomial in the
+//! hardware thread id with a thread-invariance flag on its residue:
 //!
 //! ```text
 //! value(t) = konst + coef · t + residue
 //! ```
 //!
-//! with `konst` an optionally-known constant, `coef` an optionally-known
-//! tid coefficient, and a flag recording whether the residue is
-//! *thread-invariant* (identical in every thread). Externally this
-//! collapses to the four-point classification [`ValueClass`]:
+//! [`Fact::value_class`] collapses it to the four-point classification
+//! [`ValueClass`]:
 //!
 //! * **Identical** — `coef = 0` and the residue is invariant: every
 //!   thread holds the same value at this point, on every execution.
@@ -22,18 +21,21 @@
 //!   thread `t` holds `base + stride·t`, so any two threads *provably
 //!   differ* (strides are magnitude-guarded against wrap-around).
 //! * **ThreadDependent** — influenced by `tid` (or by a divergent path)
-//!   in a way the affine domain cannot pin down.
+//!   in a way the affine form cannot pin down.
 //! * **Top** — unknown (typically a load from unclassified memory).
 //!
-//! Joins happen at CFG merges; registers written under a *divergent*
-//! branch are demoted at the reconvergence joins (masks imported from
-//! [`DivergenceAnalysis`]) unless the fact is *pinned* (`konst` and
-//! `coef` both known — a value that is exactly `k + c·t` on every path
-//! is path-independent). Memory facts come from [`MemDepAnalysis`]:
-//! loads at [`AccessClass::Invariant`] addresses yield `Identical`
-//! values when no store can intervene (store-free program over shared
-//! memory, or per-thread memories verified identical), and
-//! [`AccessClass::TidPrivate`] accesses have `AffineTid` addresses.
+//! The facts are the divergence fixpoint's own
+//! ([`DivergenceAnalysis::analysis`]): registers written under a
+//! divergent branch are demoted at the reconvergence joins unless the
+//! fact is pinned. Loads at invariant addresses yield `Identical` values
+//! when no store can intervene (store-free program over shared memory,
+//! or per-thread memories verified identical — the one case that reruns
+//! the fixpoint, with that load model and the same demotion masks), and
+//! the address class of every load/store is the
+//! [`Fact::access_class`] projection of the same facts.
+//!
+//! [`Fact::value_class`]: crate::dataflow::Fact::value_class
+//! [`Fact::access_class`]: crate::dataflow::Fact::access_class
 //!
 //! ## The static RST model
 //!
@@ -67,20 +69,14 @@
 //! simulator's dynamic profile.
 
 use crate::cfg::Cfg;
-use crate::dataflow::Invariance;
+use crate::dataflow::{has_stores, Analysis, Invariance};
 use crate::divergence::DivergenceAnalysis;
-use crate::memdep::{AccessClass, MemDepAnalysis};
+use crate::memdep::AccessClass;
 use crate::predict::LOOP_WEIGHT;
 use crate::ssa::{DefSite, Ssa};
 use crate::structure::{DomTree, LoopForest, PostDomTree};
-use mmt_isa::reg::{Reg, NUM_REGS};
-use mmt_isa::{AluOp, Inst, MemSharing, Program};
-use std::collections::BTreeMap;
-
-/// Strides above this magnitude lose the provably-unequal claim: with at
-/// most [`mmt_isa::MAX_THREADS`] threads, `|stride| · (t - u) < 2^64`
-/// holds for every thread pair, so the difference cannot wrap to zero.
-const STRIDE_GUARD: u64 = 1 << 62;
+use mmt_isa::reg::NUM_REGS;
+use mmt_isa::{Inst, MemSharing, Program};
 
 /// Thread-parametric classification of one value. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,8 +144,9 @@ pub struct PcValueFlow {
     /// Class of the destination value, if the instruction writes one
     /// (writes to `r0` are discarded and report `None`).
     pub result: Option<ValueClass>,
-    /// Class of the effective address for loads/stores, imported from
-    /// the memory divergence analysis.
+    /// Class of the effective address for loads/stores: its
+    /// [`AccessClass`] as a value (`Invariant` → `Identical`,
+    /// `TidPrivate` → `AffineTid`, `Shared` → `Top`).
     pub addr: Option<ValueClass>,
     /// A merged-fetched group provably always splits here.
     pub never_merge: bool,
@@ -207,79 +204,49 @@ pub struct ValueFlowAnalysis {
 }
 
 impl ValueFlowAnalysis {
-    /// Run the full stack (CFG, dominators, divergence, memory
-    /// dependence, SSA) and the affine fixpoint for `prog`.
+    /// Run the full stack (CFG, dominators, divergence fixpoint, SSA)
+    /// and classify every reachable PC of `prog`.
     pub fn run(prog: &Program, sharing: MemSharing, opts: ValueFlowOptions) -> ValueFlowAnalysis {
         let cfg = Cfg::build(prog);
         let dom = DomTree::dominators(&cfg);
         let pdom = PostDomTree::build(&cfg);
         let loops = LoopForest::find(&cfg, &dom);
         let div = DivergenceAnalysis::run(prog, &cfg, &pdom, sharing);
-        let mem = MemDepAnalysis::run(prog, sharing);
-        let ssa = Ssa::build(prog, &cfg, &dom);
+        ValueFlowAnalysis::from_divergence(prog, sharing, opts, &cfg, &dom, &loops, &div)
+    }
+
+    /// [`ValueFlowAnalysis::run`] over an already-built stack, for callers
+    /// that ran the divergence fixpoint themselves.
+    pub(crate) fn from_divergence(
+        prog: &Program,
+        sharing: MemSharing,
+        opts: ValueFlowOptions,
+        cfg: &Cfg,
+        dom: &DomTree,
+        loops: &LoopForest,
+        div: &DivergenceAnalysis,
+    ) -> ValueFlowAnalysis {
+        let ssa = Ssa::build(prog, cfg, dom);
         let insts = prog.as_slice();
         let nb = cfg.blocks().len();
 
-        let store_free = !insts.iter().any(|i| matches!(i, Inst::St { .. }));
+        // The divergence fixpoint's facts: their invariance is the
+        // fallback class, their addresses the address classes. Only
+        // verified-identical per-thread memories change the load model
+        // of the value facts.
+        let facts = div.analysis();
         let loads_identical =
-            store_free && (sharing == MemSharing::Shared || opts.identical_memories);
-
-        // --- Affine fixpoint over block entry states. -----------------
-        let entry_state = || [VFact::constant(0); NUM_REGS];
-        let mut inb: Vec<Option<[VFact; NUM_REGS]>> = vec![None; nb];
-        let demotions = div.demotions();
-        if nb > 0 {
-            let mut s = entry_state();
-            demote_masked(&mut s, demotions[cfg.entry()]);
-            inb[cfg.entry()] = Some(s);
-            let mut work = vec![cfg.entry()];
-            while let Some(b) = work.pop() {
-                let mut state = inb[b].expect("worklist blocks have a state");
-                for pc in cfg.blocks()[b].pcs() {
-                    transfer(&mut state, pc, &insts[pc as usize], loads_identical);
-                }
-                for s in 0..cfg.blocks()[b].succs.len() {
-                    let succ = cfg.blocks()[b].succs[s];
-                    let changed = match &mut inb[succ] {
-                        Some(cur) => {
-                            let mut joined = *cur;
-                            for (j, n) in joined.iter_mut().zip(&state) {
-                                *j = j.join(n);
-                            }
-                            demote_masked(&mut joined, demotions[succ]);
-                            if joined != *cur {
-                                *cur = joined;
-                                true
-                            } else {
-                                false
-                            }
-                        }
-                        slot @ None => {
-                            let mut s0 = state;
-                            demote_masked(&mut s0, demotions[succ]);
-                            *slot = Some(s0);
-                            true
-                        }
-                    };
-                    if changed {
-                        work.push(succ);
-                    }
-                }
-            }
-        }
+            !has_stores(prog) && (sharing == MemSharing::Shared || opts.identical_memories);
+        let rerun;
+        let values = if loads_identical == facts.loads_invariant() {
+            facts
+        } else {
+            rerun = Analysis::run_with_demotions(prog, cfg, loads_identical, div.demotions());
+            &rerun
+        };
 
         // --- Taint: blocks that can execute after a divergence. -------
-        let mut tainted = vec![false; nb];
-        let mut stack: Vec<usize> = Vec::new();
-        for p in div.divergence_points() {
-            stack.extend(cfg.blocks()[p.block].succs.iter().copied());
-        }
-        while let Some(b) = stack.pop() {
-            if std::mem::replace(&mut tainted[b], true) {
-                continue;
-            }
-            stack.extend(cfg.blocks()[b].succs.iter().copied());
-        }
+        let tainted = div.tainted(cfg);
 
         // --- Guaranteed RST shared-set (must-analysis, bitmask). ------
         let full: u32 = u32::MAX >> (32 - NUM_REGS as u32);
@@ -307,19 +274,6 @@ impl ValueFlowAnalysis {
         }
 
         // --- Per-PC classification and brackets. ----------------------
-        let addr_classes: BTreeMap<u64, ValueClass> = mem
-            .accesses()
-            .iter()
-            .map(|a| {
-                let c = match a.class {
-                    AccessClass::Invariant => ValueClass::Identical,
-                    AccessClass::TidPrivate { stride } => ValueClass::AffineTid { stride },
-                    AccessClass::Shared { .. } => ValueClass::Top,
-                };
-                (a.pc, c)
-            })
-            .collect();
-        let analysis = div.analysis();
         let mut pcs: Vec<Option<PcValueFlow>> = vec![None; insts.len()];
         let mut summary = ValueFlowSummary {
             reachable_insts: 0,
@@ -335,23 +289,24 @@ impl ValueFlowAnalysis {
         };
         let (mut w_total, mut w_guaranteed, mut w_ideal) = (0.0f64, 0.0f64, 0.0f64);
         for (b, blk) in cfg.blocks().iter().enumerate() {
-            let Some(mut state) = inb[b] else {
+            if values.before(blk.start).is_none() {
                 continue;
-            };
+            }
             let mut shared = shared_in[b].unwrap_or(0);
             let w = LOOP_WEIGHT.powi(loops.depth(b) as i32);
             for pc in blk.pcs() {
                 let inst = &insts[pc as usize];
-                let dataflow = analysis.before(pc);
+                let state = values.before(pc).expect("reachable blocks have states");
+                let dstate = facts.before(pc).expect("reachable blocks have states");
                 let sources: Vec<ValueClass> = inst
                     .sources()
                     .iter()
                     .map(|r| {
-                        let fallback = match dataflow.map(|s| s.get(r).inv) {
-                            Some(Invariance::ThreadDependent) => ValueClass::ThreadDependent,
+                        let fallback = match dstate.get(r).invariance() {
+                            Invariance::ThreadDependent => ValueClass::ThreadDependent,
                             _ => ValueClass::Top,
                         };
-                        state[r.index()].classify(fallback)
+                        state.get(r).value_class(fallback)
                     })
                     .collect();
                 let never_merge = matches!(inst, Inst::Tid { .. })
@@ -364,19 +319,30 @@ impl ValueFlowAnalysis {
                         .all(|r| r.is_zero() || shared & (1 << r.index()) != 0);
                 rst_transfer(&mut shared, inst, tainted[b], sharing);
 
-                transfer(&mut state, pc, inst, loads_identical);
-                let result = inst.dest().filter(|rd| !rd.is_zero()).map(|rd| {
-                    let fallback = if matches!(inst, Inst::Tid { .. })
-                        || sources
-                            .iter()
-                            .any(|c| !matches!(c, ValueClass::Identical | ValueClass::Top))
-                    {
-                        ValueClass::ThreadDependent
-                    } else {
-                        ValueClass::Top
-                    };
-                    state[rd.index()].classify(fallback)
-                });
+                let result_fallback = if matches!(inst, Inst::Tid { .. })
+                    || sources
+                        .iter()
+                        .any(|c| !matches!(c, ValueClass::Identical | ValueClass::Top))
+                {
+                    ValueClass::ThreadDependent
+                } else {
+                    ValueClass::Top
+                };
+                let result = inst
+                    .dest()
+                    .filter(|rd| !rd.is_zero())
+                    .and_then(|_| state.eval(pc, inst, loads_identical))
+                    .map(|f| f.value_class(result_fallback));
+                let addr = match *inst {
+                    Inst::Ld { base, off, .. } | Inst::St { base, off, .. } => {
+                        Some(match dstate.get(base).offset(off).access_class() {
+                            AccessClass::Invariant => ValueClass::Identical,
+                            AccessClass::TidPrivate { stride } => ValueClass::AffineTid { stride },
+                            AccessClass::Shared { .. } => ValueClass::Top,
+                        })
+                    }
+                    _ => None,
+                };
 
                 let bracket = MergeBracket {
                     lower: if guaranteed_merge { 1.0 } else { 0.0 },
@@ -411,7 +377,7 @@ impl ValueFlowAnalysis {
                     pc,
                     sources,
                     result,
-                    addr: addr_classes.get(&pc).copied(),
+                    addr,
                     never_merge,
                     guaranteed_merge,
                     bracket,
@@ -439,9 +405,11 @@ impl ValueFlowAnalysis {
                     .as_ref()
                     .and_then(|i| i.result)
                     .unwrap_or(ValueClass::Top),
-                DefSite::Phi(block) => inb[block]
-                    .map(|s| s[v.reg.index()].classify(ValueClass::Top))
-                    .unwrap_or(ValueClass::Top),
+                DefSite::Phi(block) => values
+                    .before(cfg.blocks()[block].start)
+                    .map_or(ValueClass::Top, |s| {
+                        s.get(v.reg).value_class(ValueClass::Top)
+                    }),
             })
             .collect();
 
@@ -495,252 +463,6 @@ impl ValueFlowAnalysis {
     }
 }
 
-/// One register's abstract value: `konst + coef·tid + residue`, with
-/// `inv` recording whether the residue is thread-invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct VFact {
-    konst: Option<u64>,
-    coef: Option<i64>,
-    inv: bool,
-}
-
-impl VFact {
-    fn top() -> VFact {
-        VFact {
-            konst: None,
-            coef: None,
-            inv: false,
-        }
-    }
-
-    fn constant(k: u64) -> VFact {
-        VFact {
-            konst: Some(k),
-            coef: Some(0),
-            inv: true,
-        }
-    }
-
-    fn invariant_unknown() -> VFact {
-        VFact {
-            konst: None,
-            coef: Some(0),
-            inv: true,
-        }
-    }
-
-    fn tid() -> VFact {
-        VFact {
-            konst: Some(0),
-            coef: Some(1),
-            inv: true,
-        }
-    }
-
-    /// Canonical form: an unknown coefficient means the tid-dependence is
-    /// unknown, so no invariance claim survives.
-    fn normalized(mut self) -> VFact {
-        if self.coef.is_none() {
-            self.inv = false;
-            self.konst = None;
-        }
-        self
-    }
-
-    fn pure_const(&self) -> Option<u64> {
-        if self.inv && self.coef == Some(0) {
-            self.konst
-        } else {
-            None
-        }
-    }
-
-    /// A fact that is exactly `konst + coef·t` is path-independent, so
-    /// divergence demotion cannot invalidate it.
-    fn pinned(&self) -> bool {
-        self.inv && self.konst.is_some() && self.coef.is_some()
-    }
-
-    fn join(&self, other: &VFact) -> VFact {
-        VFact {
-            konst: if self.konst == other.konst {
-                self.konst
-            } else {
-                None
-            },
-            coef: if self.coef == other.coef {
-                self.coef
-            } else {
-                None
-            },
-            inv: self.inv && other.inv,
-        }
-        .normalized()
-    }
-
-    fn classify(&self, fallback: ValueClass) -> ValueClass {
-        if self.inv {
-            match self.coef {
-                Some(0) => ValueClass::Identical,
-                Some(c) if c != 0 && c.unsigned_abs() < STRIDE_GUARD => {
-                    ValueClass::AffineTid { stride: c }
-                }
-                _ => ValueClass::ThreadDependent,
-            }
-        } else {
-            fallback
-        }
-    }
-}
-
-/// Kill non-pinned facts for registers in a divergence demotion mask:
-/// their value may depend on which path the thread took.
-fn demote_masked(state: &mut [VFact; NUM_REGS], mask: u32) {
-    if mask == 0 {
-        return;
-    }
-    for (i, f) in state.iter_mut().enumerate() {
-        if i != 0 && mask & (1 << i) != 0 && !f.pinned() {
-            *f = VFact::top();
-        }
-    }
-}
-
-/// Abstract transfer of one instruction over the affine domain.
-fn transfer(state: &mut [VFact; NUM_REGS], pc: u64, inst: &Inst, loads_identical: bool) {
-    let get = |state: &[VFact; NUM_REGS], r: Reg| {
-        if r.is_zero() {
-            VFact::constant(0)
-        } else {
-            state[r.index()]
-        }
-    };
-    let set = |state: &mut [VFact; NUM_REGS], r: Reg, f: VFact| {
-        if !r.is_zero() {
-            state[r.index()] = f.normalized();
-        }
-    };
-    match *inst {
-        Inst::Alu { op, rd, rs1, rs2 } => {
-            let f = alu_fact(op, get(state, rs1), get(state, rs2), rs1 == rs2);
-            set(state, rd, f);
-        }
-        Inst::AluI { op, rd, rs1, imm } => {
-            let f = alu_fact(op, get(state, rs1), VFact::constant(imm as u64), false);
-            set(state, rd, f);
-        }
-        Inst::Fpu { op, rd, rs1, rs2 } => {
-            let (a, b) = (get(state, rs1), get(state, rs2));
-            let f = if a.coef == Some(0) && b.coef == Some(0) {
-                VFact {
-                    konst: a.konst.zip(b.konst).map(|(x, y)| op.apply(x, y)),
-                    coef: Some(0),
-                    inv: a.inv && b.inv,
-                }
-            } else {
-                VFact::top()
-            };
-            set(state, rd, f);
-        }
-        Inst::Ld { rd, base, .. } => {
-            let b = get(state, base);
-            let f = if loads_identical && b.inv && b.coef == Some(0) {
-                VFact::invariant_unknown()
-            } else {
-                VFact::top()
-            };
-            set(state, rd, f);
-        }
-        Inst::Jal { rd, .. } => set(state, rd, VFact::constant(pc + 1)),
-        Inst::Tid { rd } => set(state, rd, VFact::tid()),
-        Inst::St { .. }
-        | Inst::Br { .. }
-        | Inst::Jmp { .. }
-        | Inst::Jr { .. }
-        | Inst::Halt
-        | Inst::Nop => {}
-    }
-}
-
-fn alu_fact(op: AluOp, a: VFact, b: VFact, same_reg: bool) -> VFact {
-    use AluOp::*;
-    // Exact cancellation: `r - r` and `r ^ r` are 0 in every thread no
-    // matter what `r` holds.
-    if same_reg && matches!(op, Sub | Xor) {
-        return VFact::constant(0);
-    }
-    match op {
-        Add => VFact {
-            konst: a.konst.zip(b.konst).map(|(x, y)| x.wrapping_add(y)),
-            coef: a.coef.zip(b.coef).and_then(|(x, y)| x.checked_add(y)),
-            inv: a.inv && b.inv,
-        }
-        .normalized(),
-        Sub => VFact {
-            konst: a.konst.zip(b.konst).map(|(x, y)| x.wrapping_sub(y)),
-            coef: a.coef.zip(b.coef).and_then(|(x, y)| x.checked_sub(y)),
-            inv: a.inv && b.inv,
-        }
-        .normalized(),
-        Mul => {
-            if let Some(k) = b.pure_const() {
-                scale(a, k)
-            } else if let Some(k) = a.pure_const() {
-                scale(b, k)
-            } else {
-                deterministic(op, a, b)
-            }
-        }
-        Shl => {
-            if let Some(k) = b.pure_const() {
-                if k < 64 {
-                    scale(a, 1u64.wrapping_shl(k as u32))
-                } else {
-                    // Architecturally a shift by ≥ 64 of an invariant
-                    // value is still deterministic; fold as an opaque op.
-                    deterministic(op, a, b)
-                }
-            } else {
-                deterministic(op, a, b)
-            }
-        }
-        And | Or | Xor | Shr | Slt | Div => deterministic(op, a, b),
-    }
-}
-
-/// Multiply a fact by a constant: affine forms scale.
-fn scale(a: VFact, k: u64) -> VFact {
-    let signed = if k <= i64::MAX as u64 {
-        Some(k as i64)
-    } else {
-        None
-    };
-    VFact {
-        konst: a.konst.map(|x| x.wrapping_mul(k)),
-        coef: match (a.coef, signed) {
-            (Some(0), _) => Some(0),
-            (Some(c), Some(s)) => c.checked_mul(s),
-            _ => None,
-        },
-        inv: a.inv,
-    }
-    .normalized()
-}
-
-/// A deterministic non-affine operator: invariant inputs give an
-/// invariant output; anything touched by tid becomes unknown.
-fn deterministic(op: AluOp, a: VFact, b: VFact) -> VFact {
-    if a.coef == Some(0) && b.coef == Some(0) {
-        VFact {
-            konst: a.konst.zip(b.konst).map(|(x, y)| op.apply(x, y)),
-            coef: Some(0),
-            inv: a.inv && b.inv,
-        }
-    } else {
-        VFact::top()
-    }
-}
-
 /// Abstract transfer of one instruction over the guaranteed RST
 /// shared-set. `tainted` blocks may dispatch partial thread groups, so
 /// destinations written there are never guaranteed all-pairs-shared.
@@ -771,7 +493,7 @@ fn rst_transfer(shared: &mut u32, inst: &Inst, tainted: bool, sharing: MemSharin
 mod tests {
     use super::*;
     use mmt_isa::asm::Builder as Asm;
-    use mmt_isa::Reg;
+    use mmt_isa::{AluOp, Reg};
 
     fn run(prog: &Program, sharing: MemSharing) -> ValueFlowAnalysis {
         ValueFlowAnalysis::run(prog, sharing, ValueFlowOptions::default())

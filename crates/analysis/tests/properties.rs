@@ -1,13 +1,15 @@
 //! Property-based tests for the static analyzer: CFG block boundaries
 //! must partition every PC exactly once, edges must be reciprocal and in
-//! range, and the dataflow/linter must be total (no panics, states for
-//! exactly the reachable PCs) over arbitrary instruction sequences.
+//! range, the dataflow/linter must be total (no panics, states for
+//! exactly the reachable PCs) over arbitrary instruction sequences, and
+//! the facts must hold of concrete lockstep execution.
 
 use mmt_analysis::{
-    lint_program, lint_program_with_sharing, predict_lvip, AccessClass, Analysis, Cfg, LintKind,
-    MemDepAnalysis, ValueClass, ValueFlowAnalysis, ValueFlowOptions,
+    lint_program, lint_program_with_sharing, predict_lvip, AccessClass, Analysis, Cfg, Invariance,
+    LintKind, MemDepAnalysis, ValueClass, ValueFlowAnalysis, ValueFlowOptions,
 };
 use mmt_isa::inst::Inst;
+use mmt_isa::interp::{Machine, Memory};
 use mmt_isa::{AluOp, BrCond, FpuOp, MemSharing, Program, Reg};
 use proptest::prelude::*;
 
@@ -349,6 +351,236 @@ proptest! {
                     "deterministic op on identical inputs at pc {}", info.pc
                 );
             }
+        }
+    }
+}
+
+/// Threads the soundness property runs in lockstep.
+const THREADS: usize = 4;
+
+/// Stores at or above this word address end the run, so a wild address
+/// never backs a large image. Loads read anywhere (zero when unbacked).
+const MEM_WORDS: u64 = 1 << 16;
+
+/// `inst` with every register but `r0` folded into `r1..r5`, so that
+/// values meet often, and every control transfer and `halt` replaced by
+/// a `nop`.
+fn straight_line(inst: Inst) -> Inst {
+    let n = |r: Reg| {
+        if r.is_zero() {
+            r
+        } else {
+            Reg::from_index(1 + r.index() % 5).unwrap()
+        }
+    };
+    match inst {
+        Inst::Alu { op, rd, rs1, rs2 } => Inst::Alu {
+            op,
+            rd: n(rd),
+            rs1: n(rs1),
+            rs2: n(rs2),
+        },
+        Inst::AluI { op, rd, rs1, imm } => Inst::AluI {
+            op,
+            rd: n(rd),
+            rs1: n(rs1),
+            imm,
+        },
+        Inst::Fpu { op, rd, rs1, rs2 } => Inst::Fpu {
+            op,
+            rd: n(rd),
+            rs1: n(rs1),
+            rs2: n(rs2),
+        },
+        Inst::Ld { rd, base, off } => Inst::Ld {
+            rd: n(rd),
+            base: n(base),
+            off,
+        },
+        Inst::St { src, base, off } => Inst::St {
+            src: n(src),
+            base: n(base),
+            off,
+        },
+        Inst::Tid { rd } => Inst::Tid { rd: n(rd) },
+        Inst::Nop
+        | Inst::Halt
+        | Inst::Br { .. }
+        | Inst::Jmp { .. }
+        | Inst::Jal { .. }
+        | Inst::Jr { .. } => Inst::Nop,
+    }
+}
+
+/// Seeds `r1..r5` with one value of each kind the domain tells apart:
+/// the thread id, a small mask, an address, a loaded word and an affine
+/// value.
+fn prologue() -> Vec<Inst> {
+    let addi = |rd, rs1, imm| Inst::AluI {
+        op: AluOp::Add,
+        rd,
+        rs1,
+        imm,
+    };
+    vec![
+        Inst::Tid { rd: Reg::R1 },
+        addi(Reg::R2, Reg::R0, 7),
+        addi(Reg::R3, Reg::R0, 40),
+        Inst::Ld {
+            rd: Reg::R4,
+            base: Reg::R3,
+            off: 0,
+        },
+        addi(Reg::R5, Reg::R1, 3),
+    ]
+}
+
+/// `v` as thread `t` holds it under a claimed class, relative to thread 0:
+/// `Identical` values are equal, `AffineTid{s}` values differ by `s·t`.
+fn class_holds(class: ValueClass, vals: &[u64]) -> bool {
+    match class {
+        ValueClass::Identical => vals.iter().all(|&v| v == vals[0]),
+        ValueClass::AffineTid { stride } => vals
+            .iter()
+            .enumerate()
+            .all(|(t, &v)| v == vals[0].wrapping_add((stride as u64).wrapping_mul(t as u64))),
+        ValueClass::ThreadDependent | ValueClass::Top => true,
+    }
+}
+
+/// Run `prog` (straight-line) on [`THREADS`] lockstep machines and check
+/// every fact the analyses claim at every executed PC against the
+/// concrete values. Per-thread memories start with thread-specific data.
+fn check_against_execution(prog: &Program, sharing: MemSharing) -> Result<(), String> {
+    let cfg = Cfg::build(prog);
+    let facts = Analysis::run(prog, &cfg, sharing);
+    let vf = ValueFlowAnalysis::run(prog, sharing, ValueFlowOptions::default());
+    let mem = MemDepAnalysis::run(prog, sharing);
+    let mut memories: Vec<Memory> = (0..THREADS)
+        .map(|t| {
+            let mut m = Memory::with_limit(t, u64::MAX);
+            for a in 0..64u64 {
+                m.store(a, a.wrapping_mul(0x9e37_79b9) ^ (t as u64 + 1))
+                    .expect("in range");
+            }
+            m
+        })
+        .collect();
+    if sharing == MemSharing::Shared {
+        memories.truncate(1);
+    }
+    let mut machines: Vec<Machine> = (0..THREADS).map(Machine::new).collect();
+    let mut pc = 0u64;
+    while let Some(inst) = prog.fetch(pc) {
+        let state = facts
+            .before(pc)
+            .ok_or(format!("executed pc {pc} has no state"))?;
+        for r in (0..32).map(|i| Reg::from_index(i).unwrap()) {
+            let vals: Vec<u64> = machines.iter().map(|m| m.reg(r)).collect();
+            let f = state.get(r);
+            if f.invariance() == Invariance::Invariant && !class_holds(ValueClass::Identical, &vals)
+            {
+                return Err(format!("pc {pc}: {r} claimed invariant, holds {vals:?}"));
+            }
+            if let Some(k) = f.as_const() {
+                if vals.iter().any(|&v| v != k) {
+                    return Err(format!("pc {pc}: {r} claimed {k}, holds {vals:?}"));
+                }
+            }
+            let class = f.value_class(ValueClass::Top);
+            if !class_holds(class, &vals) {
+                return Err(format!("pc {pc}: {r} claimed {class}, holds {vals:?}"));
+            }
+        }
+        let info = vf
+            .info_at(pc)
+            .ok_or(format!("pc {pc}: no value-flow facts"))?;
+        for (r, &class) in inst.sources().iter().zip(&info.sources) {
+            let vals: Vec<u64> = machines.iter().map(|m| m.reg(r)).collect();
+            if !class_holds(class, &vals) {
+                return Err(format!(
+                    "pc {pc}: source {r} claimed {class}, holds {vals:?}"
+                ));
+            }
+        }
+        if let Inst::Ld { base, off, .. } | Inst::St { base, off, .. } = inst {
+            let access = mem
+                .access_at(pc)
+                .ok_or(format!("pc {pc}: access unclassified"))?;
+            let addrs: Vec<u64> = machines
+                .iter()
+                .map(|m| m.reg(base).wrapping_add_signed(off))
+                .collect();
+            for (t, &a) in addrs.iter().enumerate() {
+                if let Some((lo, hi)) = access.thread_range(t) {
+                    if !(lo..=hi).contains(&a) {
+                        return Err(format!(
+                            "pc {pc}: thread {t} address {a} outside {lo}..={hi}"
+                        ));
+                    }
+                }
+            }
+            match access.class {
+                AccessClass::Invariant if addrs.iter().any(|&a| a != addrs[0]) => {
+                    return Err(format!("pc {pc}: invariant access at {addrs:?}"));
+                }
+                AccessClass::TidPrivate { .. } => {
+                    for t in 0..THREADS {
+                        for u in t + 1..THREADS {
+                            let disjoint = match (access.thread_range(t), access.thread_range(u)) {
+                                (Some((tl, th)), Some((ul, uh))) => th < ul || uh < tl,
+                                _ => addrs[t] != addrs[u],
+                            };
+                            if !disjoint || addrs[t] == addrs[u] {
+                                return Err(format!(
+                                    "pc {pc}: tid-private threads {t} and {u} overlap at {addrs:?}"
+                                ));
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+            if matches!(inst, Inst::St { .. }) && addrs.iter().any(|&a| a >= MEM_WORDS) {
+                return Ok(());
+            }
+        }
+        let last = memories.len() - 1;
+        let mut results = Vec::with_capacity(THREADS);
+        for (t, m) in machines.iter_mut().enumerate() {
+            let memory = &mut memories[t.min(last)];
+            let step = m.step(prog, memory).map_err(|e| format!("pc {pc}: {e}"))?;
+            results.push(step.result);
+        }
+        if let Some(class) = info.result {
+            let vals: Vec<u64> = results.iter().map(|r| r.expect("a write")).collect();
+            if !class_holds(class, &vals) {
+                return Err(format!("pc {pc}: result claimed {class}, holds {vals:?}"));
+            }
+        }
+        pc += 1;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Soundness of the one abstract domain against the interpreter:
+    /// branch-free programs over five registers ([`prologue`], then
+    /// [`straight_line`]) run on four lockstep threads under both memory
+    /// models with per-thread memories that differ, and every
+    /// invariance, constant, value-class and address claim must hold of
+    /// the concrete values at every executed PC.
+    #[test]
+    fn facts_hold_on_lockstep_execution(
+        insts in prop::collection::vec(arb_inst(32), 1..32)
+    ) {
+        let prog = Program::from_insts(
+            prologue().into_iter().chain(insts.into_iter().map(straight_line)).collect(),
+        );
+        for sharing in [MemSharing::Shared, MemSharing::PerThread] {
+            check_against_execution(&prog, sharing)?;
         }
     }
 }

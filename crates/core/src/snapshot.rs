@@ -194,6 +194,15 @@ pub struct ArchState {
 /// the old model.
 pub const MODEL_DIGEST: u64 = 0xa111_c935_b54f_faee;
 
+/// The most LVIP slots [`ArchState::from_json`] accepts: 256 times the
+/// paper's 4096-entry table (16 MiB of slots).
+pub const MAX_LVIP_ENTRIES: usize = 1 << 20;
+
+/// The most words [`ArchState::from_json`] backs per memory image: the
+/// limit of every memory the workloads build
+/// ([`mmt_isa::interp::DEFAULT_MEM_LIMIT`] words, 32 MiB).
+pub const MAX_IMAGE_WORDS: u64 = mmt_isa::interp::DEFAULT_MEM_LIMIT;
+
 /// Digest a configuration for checkpoint provenance checks.
 pub fn config_digest(cfg: &SimConfig) -> u64 {
     let mut h = Fnv::new();
@@ -449,10 +458,20 @@ impl ArchState {
 
     /// Parse an `mmt-archstate-v1` JSON document.
     ///
+    /// Every size the document states is bounded before anything is
+    /// allocated, because the integrity digest can only be checked once
+    /// the state is built: an LVIP table must be a power of two (as
+    /// `Lvip::new` requires) of at most [`MAX_LVIP_ENTRIES`] slots, and a
+    /// memory word address must lie below both its memory's `limit` and
+    /// [`MAX_IMAGE_WORDS`]. No workload's checkpoint comes near either
+    /// bound, and a crafted document cannot make the parser allocate
+    /// more.
+    ///
     /// # Errors
     ///
     /// A human-readable description of the first structural problem
-    /// (parse failure, wrong format tag, missing or mistyped field).
+    /// (parse failure, wrong format tag, missing or mistyped field, a
+    /// size out of bounds).
     pub fn from_json(text: &str) -> Result<ArchState, String> {
         let root = json::parse(text).map_err(|e| e.to_string())?;
         let format = root
@@ -520,8 +539,11 @@ impl ArchState {
                     val_u64(&pair[0]).ok_or_else(|| format!("memory {i}: bad word address"))?;
                 let value =
                     val_u64(&pair[1]).ok_or_else(|| format!("memory {i}: bad word value"))?;
-                if addr >= limit {
-                    return Err(format!("memory {i}: address {addr} exceeds limit {limit}"));
+                if addr >= limit.min(MAX_IMAGE_WORDS) {
+                    return Err(format!(
+                        "memory {i}: address {addr} exceeds limit {}",
+                        limit.min(MAX_IMAGE_WORDS)
+                    ));
                 }
                 let a = addr as usize;
                 if a >= words.len() {
@@ -562,7 +584,13 @@ impl ArchState {
         let lvip = match root.get("lvip") {
             None => None,
             Some(v) => {
-                let size = get_u64(&root, "lvip_entries")? as usize;
+                let size = get_u64(&root, "lvip_entries")?;
+                if !size.is_power_of_two() || size > MAX_LVIP_ENTRIES as u64 {
+                    return Err(format!(
+                        "\"lvip_entries\": {size} is not a power of two up to {MAX_LVIP_ENTRIES}"
+                    ));
+                }
+                let size = size as usize;
                 let mut table = vec![None; size];
                 for pair in v.as_array().ok_or("\"lvip\" is not an array")? {
                     let pair = pair

@@ -420,6 +420,41 @@ proptest! {
     }
 }
 
+/// A valid `to_json` document with one field replaced: `from_json`
+/// must refuse it with an error naming `expect`, before it allocates.
+fn refuse_crafted(field: &str, crafted: &str, expect: &str) {
+    let mut state = ArchState::initial(2, MemSharing::PerThread, &[0, 1], 1 << 20);
+    state.lvip = Some(vec![None; 64]);
+    let doc = state.to_json();
+    assert!(ArchState::from_json(&doc).is_ok());
+    let bad = doc.replacen(field, crafted, 1);
+    assert_ne!(bad, doc, "{field:?} not in the document");
+    let err = ArchState::from_json(&bad).expect_err("crafted size accepted");
+    assert!(err.contains(expect), "{err}");
+}
+
+/// An LVIP table of `u64::MAX` slots made the parser panic with
+/// `capacity overflow` instead of returning an error.
+#[test]
+fn crafted_lvip_size_is_refused() {
+    refuse_crafted(
+        "\"lvip_entries\": 64",
+        "\"lvip_entries\": \"18446744073709551615\"",
+        "lvip_entries",
+    );
+}
+
+/// A word at address 2^60 under a `u64::MAX` limit made the parser
+/// panic with `capacity overflow` instead of returning an error.
+#[test]
+fn crafted_memory_address_is_refused() {
+    refuse_crafted(
+        "\"limit\": \"1048576\", \"words\": []",
+        "\"limit\": \"18446744073709551615\", \"words\": [[\"1152921504606846976\", \"1\"]]",
+        "exceeds limit",
+    );
+}
+
 /// Checkpointing under tracing is refused (the event ring is not
 /// checkpointable), with a clear error rather than silent state loss.
 #[test]

@@ -144,3 +144,14 @@ fn determinism_across_the_whole_stack() {
     assert_eq!(a.stats.identity, b.stats.identity);
     assert_eq!(a.final_regs, b.final_regs);
 }
+
+/// The optimized test profile must keep the checks on: the simulator's
+/// `debug_assert!` invariants and integer overflow panics run under
+/// `cargo test`.
+#[test]
+#[allow(clippy::assertions_on_constants)] // the build profile sets it
+fn tests_build_with_debug_assertions_and_overflow_checks() {
+    assert!(cfg!(debug_assertions), "debug assertions are off");
+    let overflowed = std::panic::catch_unwind(|| std::hint::black_box(u8::MAX) + 1);
+    assert!(overflowed.is_err(), "overflow checks are off");
+}
