@@ -25,7 +25,7 @@
 //!    with disjoint per-thread ranges), or **shared/unknown**, and
 //!    shared-memory programs get a static data-race candidate list
 //!    consumed by the lint layer ([`lint_program_with_sharing`]) and
-//!    validated differentially by the `mmtmem` bench binary.
+//!    validated differentially by `mmtgate --check mem`.
 //! 5. [`oracle`] + [`mod@predict`] — the differential redundancy oracle: a
 //!    static must-merge / may-merge / must-split classification of every
 //!    instruction, and [`Oracle::check`], which replays the simulator's
@@ -35,7 +35,7 @@
 //!    merge cannot corrupt architected results — this replay is what
 //!    makes such a bug loud instead of silent. [`predict()`] turns the
 //!    same facts into per-program savings predictions with guaranteed
-//!    bounds, validated dynamically by the `mmtpredict` bench binary.
+//!    bounds, validated dynamically by `mmtgate --check predict`.
 //! 6. [`ssa`] + [`valueflow`] — SSA construction over the CFG/dominator
 //!    infrastructure, and the thread-parametric value-flow analysis:
 //!    every SSA value gets the [`ValueClass`] projection of its fact
@@ -43,8 +43,12 @@
 //!    the Register Sharing Table brackets every PC's exec-merge fraction
 //!    (guaranteed-merge and never-merge claims), and the result tightens
 //!    the LVIP value-identity brackets ([`predict_lvip`]). Validated
-//!    dynamically by the `mmtvalue` bench binary against the simulator's
+//!    dynamically by `mmtgate --check value` against the simulator's
 //!    per-PC profile.
+//!
+//! Every client reads one [`Stack`] per program: the CFG, the dominator
+//! trees, the loop forest and one divergence fixpoint per load model,
+//! built once and shared through the clients' `from_stack` constructors.
 //!
 //! ## Example
 //!
@@ -82,6 +86,7 @@ pub mod memdep;
 pub mod oracle;
 pub mod predict;
 pub mod ssa;
+pub mod stack;
 pub mod structure;
 pub mod valueflow;
 
@@ -89,13 +94,17 @@ pub use callgraph::{CallGraph, Function};
 pub use cfg::{BasicBlock, Cfg};
 pub use dataflow::{Analysis, Fact, Invariance, State};
 pub use divergence::{BranchClass, DivergenceAnalysis, DivergencePoint};
-pub use lint::{has_errors, lint_program, lint_program_with_sharing, Lint, LintKind, Severity};
+pub use lint::{
+    has_errors, lint_from_stack, lint_program, lint_program_with_sharing, Lint, LintKind, Severity,
+};
 pub use memdep::{AccessClass, MemAccess, MemDepAnalysis, RacePair};
 pub use oracle::{MergeClass, Oracle, OracleReport};
 pub use predict::{
-    predict, predict_lvip, predict_lvip_with, LvipBracket, LvipPrediction, Prediction,
+    predict, predict_from_stack, predict_lvip, predict_lvip_with, LvipBracket, LvipPrediction,
+    Prediction,
 };
 pub use ssa::{DefSite, Phi, Ssa, SsaValue, UseSite, ValueId};
+pub use stack::Stack;
 pub use structure::{DomTree, LoopForest, NaturalLoop, PostDomTree};
 pub use valueflow::{
     MergeBracket, PcValueFlow, ValueClass, ValueFlowAnalysis, ValueFlowOptions, ValueFlowSummary,

@@ -8,12 +8,10 @@
 //! blocks). "Lint-clean" for the workload generator means *no errors* —
 //! warnings are advisory.
 
-use crate::cfg::Cfg;
 use crate::dataflow::Analysis;
 use crate::memdep::MemDepAnalysis;
 use crate::oracle::{MergeClass, Oracle};
-use crate::ssa::Ssa;
-use crate::structure::DomTree;
+use crate::stack::Stack;
 use crate::valueflow::{ValueClass, ValueFlowAnalysis, ValueFlowOptions};
 use mmt_isa::reg::NUM_REGS;
 use mmt_isa::{Inst, MemSharing, Program};
@@ -131,6 +129,13 @@ pub fn has_errors(lints: &[Lint]) -> bool {
 /// addresses and initialization, so the conservative model is exact for
 /// them regardless of how the program is actually run.
 pub fn lint_program(prog: &Program) -> Vec<Lint> {
+    lint_from_stack(&Stack::new(prog), MemSharing::PerThread)
+}
+
+/// [`lint_program_with_sharing`] over an already-built [`Stack`] of the
+/// program.
+pub fn lint_from_stack(stack: &Stack<'_>, sharing: MemSharing) -> Vec<Lint> {
+    let prog = stack.program();
     let insts = prog.as_slice();
     let n = insts.len();
     if n == 0 {
@@ -158,8 +163,8 @@ pub fn lint_program(prog: &Program) -> Vec<Lint> {
         }
     }
 
-    let cfg = Cfg::build(prog);
-    let analysis = Analysis::run(prog, &cfg, MemSharing::PerThread);
+    let cfg = stack.cfg();
+    let analysis = Analysis::run(prog, cfg, MemSharing::PerThread);
 
     for &pc in cfg.unresolved_indirect_jumps() {
         lints.push(Lint {
@@ -241,9 +246,9 @@ pub fn lint_program(prog: &Program) -> Vec<Lint> {
 
     // SSA-backed perf lints. The conservative PerThread model again:
     // neither lint depends on load values beyond what that model proves.
-    let dom = DomTree::dominators(&cfg);
-    let ssa = Ssa::build(prog, &cfg, &dom);
-    for (pc, v) in ssa.dead_defs() {
+    let vf =
+        ValueFlowAnalysis::from_stack(stack, MemSharing::PerThread, ValueFlowOptions::default());
+    for (pc, v) in vf.ssa().dead_defs() {
         lints.push(Lint {
             pc: Some(pc),
             kind: LintKind::DeadDef,
@@ -254,8 +259,7 @@ pub fn lint_program(prog: &Program) -> Vec<Lint> {
             ),
         });
     }
-    let vf = ValueFlowAnalysis::run(prog, MemSharing::PerThread, ValueFlowOptions::default());
-    let oracle = Oracle::new(prog, MemSharing::PerThread);
+    let oracle = Oracle::from_stack(stack, MemSharing::PerThread);
     for info in vf.infos() {
         if info.result == Some(ValueClass::Identical)
             && oracle.class_of(info.pc) == Some(MergeClass::MayMerge)
@@ -274,6 +278,9 @@ pub fn lint_program(prog: &Program) -> Vec<Lint> {
         }
     }
 
+    if sharing == MemSharing::Shared {
+        race_lints(&MemDepAnalysis::from_stack(stack, sharing), &mut lints);
+    }
     lints.sort_by_key(|l| l.pc);
     lints
 }
@@ -289,11 +296,11 @@ pub fn lint_program(prog: &Program) -> Vec<Lint> {
 /// they are correct). Under [`MemSharing::PerThread`] memories cannot
 /// race by construction and the result equals [`lint_program`].
 pub fn lint_program_with_sharing(prog: &Program, sharing: MemSharing) -> Vec<Lint> {
-    let mut lints = lint_program(prog);
-    if sharing != MemSharing::Shared {
-        return lints;
-    }
-    let mem = MemDepAnalysis::run(prog, sharing);
+    lint_from_stack(&Stack::new(prog), sharing)
+}
+
+/// The data-race lints of `mem`'s race candidates.
+fn race_lints(mem: &MemDepAnalysis, lints: &mut Vec<Lint>) {
     for race in mem.races() {
         let div = if race.divergent {
             " in a divergent region"
@@ -324,8 +331,6 @@ pub fn lint_program_with_sharing(prog: &Program, sharing: MemSharing) -> Vec<Lin
             });
         }
     }
-    lints.sort_by_key(|l| l.pc);
-    lints
 }
 
 #[cfg(test)]

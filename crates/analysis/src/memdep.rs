@@ -18,14 +18,14 @@
 //! ## Soundness
 //!
 //! The facts are the divergence-refined ones
-//! ([`DivergenceAnalysis::analysis`]): a register written differently on
-//! the paths of a divergent region has lost its `inv` claim unless its
-//! value is pinned. The tid-disjointness test carries an explicit
-//! magnitude guard so `u64` address wrap-around cannot alias two
-//! "disjoint" threads. The claims are validated differentially by the
-//! `mmtmem` bench binary: a per-PC address profile from the pipeline plus
-//! an interleaved functional execution must never contradict a static
-//! `Invariant`/`TidPrivate` classification.
+//! ([`crate::DivergenceAnalysis::analysis`]): a register written
+//! differently on the paths of a divergent region has lost its `inv`
+//! claim unless its value is pinned. The tid-disjointness test carries
+//! an explicit magnitude guard so `u64` address wrap-around cannot alias
+//! two "disjoint" threads. The claims are validated differentially by
+//! `mmtgate --check mem` (crates/bench): a per-PC address profile from
+//! the pipeline plus an interleaved functional execution must never
+//! contradict a static `Invariant`/`TidPrivate` classification.
 //!
 //! On top of the classification, [`MemDepAnalysis::races`] reports static
 //! data-race candidates for shared-memory programs: a store whose
@@ -33,10 +33,8 @@
 //! with no intervening synchronization (the ISA has none — barriers are
 //! spin loops the analysis sees as plain loads/stores).
 
-use crate::cfg::Cfg;
 use crate::dataflow::Fact;
-use crate::divergence::DivergenceAnalysis;
-use crate::structure::PostDomTree;
+use crate::stack::Stack;
 use mmt_isa::{Inst, MemSharing, Program, MAX_THREADS};
 use std::fmt;
 
@@ -124,10 +122,14 @@ impl MemDepAnalysis {
     /// computed only for [`MemSharing::Shared`] (per-thread memories
     /// cannot race by construction).
     pub fn run(prog: &Program, sharing: MemSharing) -> MemDepAnalysis {
-        let cfg = Cfg::build(prog);
-        let pdom = PostDomTree::build(&cfg);
-        let div = DivergenceAnalysis::run(prog, &cfg, &pdom, sharing);
-        let in_region = div.in_region(&cfg);
+        MemDepAnalysis::from_stack(&Stack::new(prog), sharing)
+    }
+
+    /// [`MemDepAnalysis::run`] over an already-built [`Stack`].
+    pub fn from_stack(stack: &Stack<'_>, sharing: MemSharing) -> MemDepAnalysis {
+        let (prog, cfg) = (stack.program(), stack.cfg());
+        let div = stack.divergence(sharing);
+        let in_region = div.in_region(cfg);
         let mut out = MemDepAnalysis {
             accesses: Vec::new(),
             index: vec![None; prog.len()],

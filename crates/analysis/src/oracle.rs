@@ -12,10 +12,8 @@
 //! that every merged dispatch really was between execute-identical
 //! instructions — two independent derivations that must agree.
 
-use crate::cfg::Cfg;
 use crate::dataflow::State;
-use crate::divergence::DivergenceAnalysis;
-use crate::structure::PostDomTree;
+use crate::stack::Stack;
 use mmt_isa::{Inst, MemSharing, Program, MAX_THREADS};
 use mmt_sim::MergeEvent;
 use std::fmt;
@@ -74,10 +72,13 @@ impl Oracle {
     /// the reconvergence point, so `MustMerge` here really does mean
     /// "merged threads at this PC always hold equal operands".
     pub fn new(prog: &Program, sharing: MemSharing) -> Oracle {
-        let cfg = Cfg::build(prog);
-        let pdom = PostDomTree::build(&cfg);
-        let div = DivergenceAnalysis::run(prog, &cfg, &pdom, sharing);
-        let analysis = div.analysis();
+        Oracle::from_stack(&Stack::new(prog), sharing)
+    }
+
+    /// [`Oracle::new`] over an already-built [`Stack`].
+    pub fn from_stack(stack: &Stack<'_>, sharing: MemSharing) -> Oracle {
+        let prog = stack.program();
+        let analysis = stack.divergence(sharing).analysis();
         let classes = prog
             .iter()
             .map(|(pc, inst)| {

@@ -20,8 +20,9 @@
 //!   in the worst case, be fetched split forever (the FHB search is
 //!   finite and remerge alignment is bounded, so no remerge is
 //!   guaranteed). For divergence-free programs nothing is tainted and
-//!   the bounds pinch to exactly 1.0 — `mmtpredict` checks the dynamic
-//!   fraction falls inside `[lower, upper]` for every workload.
+//!   the bounds pinch to exactly 1.0 — `mmtgate --check predict` checks
+//!   the dynamic fraction falls inside `[lower, upper]` for every
+//!   workload.
 //!
 //! The *point estimate* ([`Prediction::merge_frac_est`]) is a calibrated
 //! model, not a guarantee: it assumes ideal reconvergence (threads
@@ -34,11 +35,9 @@
 //! a detour inside a doubly-nested loop count for more than prologue
 //! code.
 
-use crate::cfg::Cfg;
 use crate::dataflow::Invariance;
-use crate::divergence::DivergenceAnalysis;
 use crate::oracle::{classify, MergeClass};
-use crate::structure::{DomTree, LoopForest, PostDomTree};
+use crate::stack::Stack;
 use crate::valueflow::{ValueClass, ValueFlowAnalysis, ValueFlowOptions};
 use mmt_isa::{Inst, MemSharing, Program};
 use std::collections::BTreeMap;
@@ -106,11 +105,13 @@ pub struct Prediction {
 /// post-dominators + loops + divergence-refined dataflow) and derive a
 /// [`Prediction`] for `threads` hardware threads.
 pub fn predict(prog: &Program, sharing: MemSharing, threads: usize) -> Prediction {
-    let cfg = Cfg::build(prog);
-    let dom = DomTree::dominators(&cfg);
-    let pdom = PostDomTree::build(&cfg);
-    let loops = LoopForest::find(&cfg, &dom);
-    let div = DivergenceAnalysis::run(prog, &cfg, &pdom, sharing);
+    predict_from_stack(&Stack::new(prog), sharing, threads)
+}
+
+/// [`predict()`] over an already-built [`Stack`].
+pub fn predict_from_stack(stack: &Stack<'_>, sharing: MemSharing, threads: usize) -> Prediction {
+    let (prog, cfg, loops) = (stack.program(), stack.cfg(), stack.loops());
+    let div = stack.divergence(sharing);
     let analysis = div.analysis();
     let insts = prog.as_slice();
     let t = threads.max(1) as f64;
@@ -120,8 +121,8 @@ pub fn predict(prog: &Program, sharing: MemSharing, threads: usize) -> Predictio
     // taint: only the blocks strictly inside a divergence region (between
     // the branch and its reconvergence point) — the ideal-reconvergence
     // model's split set.
-    let tainted = div.tainted(&cfg);
-    let region_tainted = div.in_region(&cfg);
+    let tainted = div.tainted(cfg);
+    let region_tainted = div.in_region(cfg);
 
     let mut reachable_insts = 0usize;
     let (mut must, mut may, mut split) = (0usize, 0usize, 0usize);
@@ -202,15 +203,7 @@ pub fn predict(prog: &Program, sharing: MemSharing, threads: usize) -> Predictio
         } else {
             0.0
         };
-    let vf = ValueFlowAnalysis::from_divergence(
-        prog,
-        sharing,
-        ValueFlowOptions::default(),
-        &cfg,
-        &dom,
-        &loops,
-        &div,
-    );
+    let vf = ValueFlowAnalysis::from_stack(stack, sharing, ValueFlowOptions::default());
     let savings_est = vf
         .savings_estimate(threads)
         .clamp(savings_lower, savings_upper);
@@ -319,18 +312,19 @@ impl LvipPrediction {
 /// path is gated on per-thread memories), so a dynamic run must observe
 /// zero per-PC LVIP lookups everywhere.
 pub fn predict_lvip(prog: &Program, sharing: MemSharing) -> LvipPrediction {
-    predict_lvip_with(prog, sharing, ValueFlowOptions::default())
+    let vf = ValueFlowAnalysis::run(prog, sharing, ValueFlowOptions::default());
+    predict_lvip_with(prog, sharing, &vf)
 }
 
-/// [`predict_lvip`] with explicit [`ValueFlowOptions`] — pass
-/// `identical_memories: true` when the per-thread memory images are
-/// known equal to unlock `[1, 1]` brackets on identical-value loads.
+/// [`predict_lvip`] from an already-run value-flow analysis of `prog` —
+/// run it with `identical_memories: true` when the per-thread memory
+/// images are known equal to unlock `[1, 1]` brackets on identical-value
+/// loads.
 pub fn predict_lvip_with(
     prog: &Program,
     sharing: MemSharing,
-    opts: ValueFlowOptions,
+    vf: &ValueFlowAnalysis,
 ) -> LvipPrediction {
-    let vf = ValueFlowAnalysis::run(prog, sharing, opts);
     let loads = prog
         .as_slice()
         .iter()
@@ -489,13 +483,11 @@ mod tests {
 
         // Verified-identical per-thread memories tighten the invariant
         // load's bracket to [1, 1]: every LVIP verification must succeed.
-        let p = predict_lvip_with(
-            &prog,
-            MemSharing::PerThread,
-            crate::valueflow::ValueFlowOptions {
-                identical_memories: true,
-            },
-        );
+        let opts = ValueFlowOptions {
+            identical_memories: true,
+        };
+        let vf = ValueFlowAnalysis::run(&prog, MemSharing::PerThread, opts);
+        let p = predict_lvip_with(&prog, MemSharing::PerThread, &vf);
         let inv = p.at(1).unwrap();
         assert!(inv.value_identical);
         assert_eq!(inv.hit_lower, 1.0);

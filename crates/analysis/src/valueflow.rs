@@ -25,7 +25,7 @@
 //! * **Top** — unknown (typically a load from unclassified memory).
 //!
 //! The facts are the divergence fixpoint's own
-//! ([`DivergenceAnalysis::analysis`]): registers written under a
+//! ([`crate::DivergenceAnalysis::analysis`]): registers written under a
 //! divergent branch are demoted at the reconvergence joins unless the
 //! fact is pinned. Loads at invariant addresses yield `Identical` values
 //! when no store can intervene (store-free program over shared memory,
@@ -64,17 +64,15 @@
 //!
 //! Everything else gets the trivial `[0, 1]` bracket. The weighted
 //! guaranteed/ideal fractions give a static "identified redundancy"
-//! figure in the spirit of the paper's Figure 5(b); `mmtvalue`
-//! (crates/bench) gates all of the per-PC claims against the
+//! figure in the spirit of the paper's Figure 5(b); `mmtgate --check
+//! value` (crates/bench) gates all of the per-PC claims against the
 //! simulator's dynamic profile.
 
-use crate::cfg::Cfg;
 use crate::dataflow::{has_stores, Analysis, Invariance};
-use crate::divergence::DivergenceAnalysis;
 use crate::memdep::AccessClass;
 use crate::predict::LOOP_WEIGHT;
 use crate::ssa::{DefSite, Ssa};
-use crate::structure::{DomTree, LoopForest, PostDomTree};
+use crate::stack::Stack;
 use mmt_isa::reg::NUM_REGS;
 use mmt_isa::{Inst, MemSharing, Program};
 
@@ -207,25 +205,17 @@ impl ValueFlowAnalysis {
     /// Run the full stack (CFG, dominators, divergence fixpoint, SSA)
     /// and classify every reachable PC of `prog`.
     pub fn run(prog: &Program, sharing: MemSharing, opts: ValueFlowOptions) -> ValueFlowAnalysis {
-        let cfg = Cfg::build(prog);
-        let dom = DomTree::dominators(&cfg);
-        let pdom = PostDomTree::build(&cfg);
-        let loops = LoopForest::find(&cfg, &dom);
-        let div = DivergenceAnalysis::run(prog, &cfg, &pdom, sharing);
-        ValueFlowAnalysis::from_divergence(prog, sharing, opts, &cfg, &dom, &loops, &div)
+        ValueFlowAnalysis::from_stack(&Stack::new(prog), sharing, opts)
     }
 
-    /// [`ValueFlowAnalysis::run`] over an already-built stack, for callers
-    /// that ran the divergence fixpoint themselves.
-    pub(crate) fn from_divergence(
-        prog: &Program,
+    /// [`ValueFlowAnalysis::run`] over an already-built [`Stack`].
+    pub fn from_stack(
+        stack: &Stack<'_>,
         sharing: MemSharing,
         opts: ValueFlowOptions,
-        cfg: &Cfg,
-        dom: &DomTree,
-        loops: &LoopForest,
-        div: &DivergenceAnalysis,
     ) -> ValueFlowAnalysis {
+        let (prog, cfg, dom, loops) = (stack.program(), stack.cfg(), stack.dom(), stack.loops());
+        let div = stack.divergence(sharing);
         let ssa = Ssa::build(prog, cfg, dom);
         let insts = prog.as_slice();
         let nb = cfg.blocks().len();

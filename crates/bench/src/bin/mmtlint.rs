@@ -25,7 +25,7 @@
 //! file). The 0-vs-1 split is what makes the tool usable as a CI gate
 //! over the workload generator, in either output format.
 
-use mmt_analysis::{lint_program_with_sharing, Lint, Oracle};
+use mmt_analysis::{lint_from_stack, Lint, Oracle, Stack};
 use mmt_bench::arg_value;
 use mmt_bench::cli::scale_arg;
 use mmt_isa::{MemSharing, Program};
@@ -142,9 +142,11 @@ fn finish(format: Format, programs: &[ProgramJson], failed: bool) -> ! {
 fn report(name: &str, program: &Program, sharing: MemSharing, format: Format) -> ProgramJson {
     // Sharing-aware: under `mt` this adds the static data-race lint
     // (shared-store collisions are errors, cross-thread read/write pairs
-    // are warnings).
-    let lints = lint_program_with_sharing(program, sharing);
-    let oracle = Oracle::new(program, sharing);
+    // are warnings). Lints and oracle read one stack, so the divergence
+    // fixpoint runs once per load model.
+    let stack = Stack::new(program);
+    let lints = lint_from_stack(&stack, sharing);
+    let oracle = Oracle::from_stack(&stack, sharing);
     let (must_merge, may_merge, must_split) = oracle.static_counts();
     let sharing_label = match sharing {
         MemSharing::Shared => "mt",

@@ -1,12 +1,12 @@
 //! `mmtreport` — join the run ledger with the committed bench reports
 //! into one trend report with regression verdicts.
 //!
-//! Reads `results/LEDGER.jsonl` (appended by every gate/bench bin, see
-//! [`mmt_bench::ledger`]) and scans `results/BENCH_*.json` for
-//! structural problems, then prints a per-tool markdown table — run
-//! count, latest gate outcome, throughput, delta vs. the previous
-//! comparable run, a sparkline — and writes the same content as JSON to
-//! `results/REPORT.json`.
+//! Reads `results/LEDGER.jsonl` (appended by every `mmtgate` check and
+//! `mmtfigs` run, see [`mmt_bench::ledger`]) and scans
+//! `results/BENCH_*.json` for structural problems, then prints a
+//! per-tool markdown table — run count, latest gate outcome, throughput,
+//! delta vs. the previous comparable run, a sparkline — and writes the
+//! same content as JSON to `results/REPORT.json`.
 //!
 //! ```text
 //! mmtreport

@@ -24,7 +24,7 @@
 //! | `--sync S`        | `fhb`       | `fhb` or `hints` |
 //! | `--format F`      | `text`      | `text` (human-readable) or `json` (one object per app) |
 //! | `--json`          | off         | alias for `--format json` |
-//! | `--pc-profile`    | off         | record the per-PC profile (fetch/exec/LVIP/address counters); with `--format json` it rides along in `stats.pc_profile` — the same wire format `mmtmem` consumes |
+//! | `--pc-profile`    | off         | record the per-PC profile (fetch/exec/LVIP/address counters); with `--format json` it rides along in `stats.pc_profile` — the counters `mmtgate --check mem` reads |
 //! | `--asm PATH`      | —           | simulate an assembly file instead of a suite app |
 //! | `--sharing S`     | `mt`        | with `--asm`: `mt` (shared memory) or `me` (per process) |
 //! | `--metrics PATH`  | off         | self-profile the simulator (per-stage wall-clock histograms; with `--sample`, per-tier too) and write the merged snapshot to PATH — `.json` for JSON, anything else for Prometheus text exposition |

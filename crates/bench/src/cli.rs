@@ -42,18 +42,21 @@ pub fn scale_arg(args: &[String], default: u64, json: bool) -> u64 {
 
 /// Report a usage error and exit 2.
 pub fn fail_usage(json: bool, message: impl AsRef<str>) -> ! {
-    fail(EXIT_USAGE, json, message.as_ref())
+    report_error(json, message.as_ref());
+    std::process::exit(EXIT_USAGE)
 }
 
 /// Report a runtime failure and exit 1.
 pub fn fail_run(json: bool, message: impl AsRef<str>) -> ! {
-    fail(EXIT_RUN, json, message.as_ref())
+    report_error(json, message.as_ref());
+    std::process::exit(EXIT_RUN)
 }
 
-fn fail(code: i32, json: bool, message: &str) -> ! {
+/// Report a failure without exiting: the `error:` line on stderr, and
+/// the `{"error": ...}` object on stdout under `--format json`.
+pub fn report_error(json: bool, message: &str) {
     if json {
         println!("{{\"error\":{}}}", mmt_obs::json::escaped(message));
     }
     eprintln!("error: {message}");
-    std::process::exit(code);
 }

@@ -1,56 +1,18 @@
-//! `mmtmem` — differential validation of the static memory divergence
-//! analysis, race lint, and LVIP hit predictor.
-//!
-//! For every selected workload and thread count the tool runs the static
-//! memory stack ([`MemDepAnalysis`] + [`predict_lvip`]) and **two**
-//! dynamic oracles:
-//!
-//! 1. the cycle-level pipeline with `record_pc_profile`, whose per-PC
-//!    counters now include LVIP lookups/hits/misses and merged-access
-//!    address divergence, and
-//! 2. a functional round-robin interleaving of [`Machine`] steps that
-//!    records every (word, thread, pc) memory touch.
-//!
-//! Soundness gates (any failure → exit 1):
-//!
-//! * **Invariant addresses**: a PC classified [`AccessClass::Invariant`]
-//!   must never dispatch a merged memory macro-op with divergent
-//!   per-thread addresses (`mem_addr_diverged == 0`), and in the
-//!   functional run all threads must observe identical address
-//!   sequences (or a single common address).
-//! * **Tid-private addresses**: every observed address must fall in the
-//!   statically-computed per-thread range, and bounded ranges must be
-//!   pairwise disjoint across threads in practice.
-//! * **Race completeness**: in shared-memory apps, every dynamic
-//!   conflicting pair (two threads touch the same word, at least one a
-//!   store) must appear in the static race list — zero false negatives.
-//! * **LVIP structure + bracket**: a load the static side marks
-//!   non-predictable must show zero per-PC LVIP lookups (tid-private
-//!   base registers can never be RST-shared; shared-memory loads never
-//!   consult LVIP at all), and every measured per-PC hit rate must fall
-//!   inside its static bracket.
-//!
-//! ```text
-//! mmtmem --all-workloads
-//! mmtmem --apps swaptions --threads 2,4 --scale 16
-//! ```
-//!
-//! Flags are the unified gate set ([`mmt_bench::gate`]):
-//! `--all-workloads`, `--apps LIST` (alias `--app`), `--threads LIST`,
-//! `--scale N`, `--jobs N`, `--format text|json`.
-//!
-//! Output is a GitHub-flavoured markdown table (suitable for a CI job
-//! summary) and `results/BENCH_memdep.json`. Exit status: 0 clean,
-//! 1 soundness violations, 2 usage errors.
+//! `mem` (DESIGN.md §13): the static memory divergence analysis, race
+//! list and LVIP brackets against two dynamic oracles — the golden's
+//! per-PC profile and a functional round-robin interleaving of
+//! [`Machine`] steps that records every (word, thread, pc) memory touch.
+//! Violations: divergent addresses at an invariant PC, an address
+//! outside its per-thread range or shared across a tid-private PC, a
+//! dynamic conflicting pair missing from the race list, and LVIP
+//! activity outside the static prediction.
 
-use mmt_analysis::{predict_lvip, AccessClass, MemDepAnalysis};
-use mmt_bench::cli::fail_run;
-use mmt_bench::gate::{finish_gate, status_cell, GateRow, GateSpec};
-use mmt_bench::to_run_spec;
+use super::{lvip_violations, sharing_label, status_cell, violations_of, Case, Golden, Verdict};
+use mmt_analysis::{
+    predict_lvip_with, AccessClass, MemDepAnalysis, Stack, ValueFlowAnalysis, ValueFlowOptions,
+};
 use mmt_isa::interp::{Machine, Memory};
 use mmt_isa::{Inst, MemSharing, Program};
-use mmt_sim::{MmtLevel, SimConfig, Simulator};
-use mmt_workloads::App;
 use std::collections::{BTreeSet, HashMap};
 
 /// Per-thread functional-run step budget: suite apps at the default
@@ -58,8 +20,9 @@ use std::collections::{BTreeSet, HashMap};
 /// this means the interleaving livelocked — itself a reportable failure.
 const STEP_BUDGET: u64 = 100_000_000;
 
+/// One case's comparison, as `results/BENCH_memdep.json` records it.
 #[derive(Debug, Clone)]
-struct MemRow {
+pub(super) struct Row {
     app: String,
     threads: usize,
     sharing: String,
@@ -81,7 +44,7 @@ struct MemRow {
     soundness_violations: Vec<String>,
 }
 mmt_obs::impl_to_json! {
-    MemRow {
+    Row {
         app, threads, sharing, accesses, invariant, tid_private, shared, static_races,
         static_race_errors, lvip_predictable, mem_merged, mem_addr_diverged, lvip_lookups,
         lvip_hits, lvip_misses, dynamic_conflict_pairs, functional_steps, sim_cycles,
@@ -89,74 +52,11 @@ mmt_obs::impl_to_json! {
     }
 }
 
-impl GateRow for MemRow {
-    fn app(&self) -> &str {
-        &self.app
-    }
-    fn threads(&self) -> usize {
-        self.threads
-    }
-    fn violations(&self) -> &[String] {
-        &self.soundness_violations
-    }
-    fn sim_cycles(&self) -> u64 {
-        self.sim_cycles
-    }
-}
-
-#[derive(Debug, Clone)]
-struct MemReport {
+struct Report {
     scale: u64,
-    rows: Vec<MemRow>,
+    rows: Vec<Row>,
 }
-mmt_obs::impl_to_json! { MemReport { scale, rows } }
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    // Only failures are emitted as JSON objects; the success output
-    // stays the markdown table CI renders.
-    let spec = GateSpec::from_args(&args);
-    let started = std::time::Instant::now();
-    let rows = spec.run_cases(|app, threads| validate_case(app, threads, spec.scale));
-
-    println!(
-        "## mmtmem — static memory classification vs. dynamic addresses (scale {})\n",
-        spec.scale
-    );
-    println!(
-        "| app | t | mem | classes (inv/priv/shared) | races (ww/total) | lvip pred | \
-         merged/diverged | lvip l/h/m | dyn pairs | soundness |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|---|");
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {}/{}/{} | {}/{} | {} | {}/{} | {}/{}/{} | {} | {} |",
-            r.app,
-            r.threads,
-            r.sharing,
-            r.invariant,
-            r.tid_private,
-            r.shared,
-            r.static_race_errors,
-            r.static_races,
-            r.lvip_predictable,
-            r.mem_merged,
-            r.mem_addr_diverged,
-            r.lvip_lookups,
-            r.lvip_hits,
-            r.lvip_misses,
-            r.dynamic_conflict_pairs,
-            status_cell(&r.soundness_violations),
-        );
-    }
-    println!();
-
-    let report = MemReport {
-        scale: spec.scale,
-        rows,
-    };
-    finish_gate("mmtmem", "memdep", &spec, started, &report, &report.rows);
-}
+mmt_obs::impl_to_json! { Report { scale, rows } }
 
 /// What the functional interleaving observed at one (pc, thread).
 #[derive(Debug, Clone, Default)]
@@ -184,27 +84,18 @@ impl PcThreadObs {
     }
 }
 
-/// Static-vs-dynamic memory comparison for one (app, threads) case.
-fn validate_case(app: &App, threads: usize, scale: u64) -> MemRow {
-    let w = app.instance(threads, scale);
-    let program = w.program.clone();
-    let sharing = w.sharing;
-    let initial_memories = w.memories.clone();
-
-    // Static side.
-    let mem = MemDepAnalysis::run(&program, sharing);
-    let lvip_pred = predict_lvip(&program, sharing);
+/// Compare one case's static memory classification with its golden's
+/// per-PC profile and with a functional interleaving of its instance.
+pub(super) fn check(case: &Case, golden: &Golden, stack: &Stack<'_>) -> Row {
+    let (program, sharing, threads) = (stack.program(), case.instance.sharing, case.threads);
+    let mem = MemDepAnalysis::from_stack(stack, sharing);
+    let vf = ValueFlowAnalysis::from_stack(stack, sharing, ValueFlowOptions::default());
+    let lvip_pred = predict_lvip_with(program, sharing, &vf);
     let (invariant, tid_private, shared) = mem.class_counts();
     let mut violations = Vec::new();
 
     // Dynamic side 1: the cycle-level pipeline's per-PC profile.
-    let mut cfg = SimConfig::paper_with(threads, MmtLevel::Fxr);
-    cfg.record_pc_profile = true;
-    let result = Simulator::new(cfg, to_run_spec(w))
-        .unwrap_or_else(|e| fail_run(false, format!("{}: invalid config/spec: {e}", app.name)))
-        .run()
-        .unwrap_or_else(|e| fail_run(false, format!("{}: {e}", app.name)));
-
+    let result = &golden.result;
     let mut mem_merged = 0u64;
     let mut mem_addr_diverged = 0u64;
     let (mut lvip_lookups, mut lvip_hits, mut lvip_misses) = (0u64, 0u64, 0u64);
@@ -230,51 +121,15 @@ fn validate_case(app: &App, threads: usize, scale: u64) -> MemRow {
             }
         }
 
-        if c.lvip_lookups > 0 || c.lvip_hits > 0 || c.lvip_misses > 0 {
-            match lvip_pred.at(pc) {
-                None => violations.push(format!(
-                    "pc {pc} consulted LVIP {} time(s) but the static side sees no load there",
-                    c.lvip_lookups
-                )),
-                Some(b) if !b.predictable => violations.push(format!(
-                    "pc {pc} consulted LVIP {} time(s) but is statically non-predictable \
-                     ({})",
-                    c.lvip_lookups,
-                    if sharing == MemSharing::Shared {
-                        "shared-memory load"
-                    } else {
-                        "tid-private address"
-                    }
-                )),
-                Some(b) => {
-                    if c.lvip_hits + c.lvip_misses > c.lvip_lookups {
-                        violations.push(format!(
-                            "pc {pc}: {} hits + {} misses exceed {} lookups",
-                            c.lvip_hits, c.lvip_misses, c.lvip_lookups
-                        ));
-                    }
-                    let resolved = c.lvip_hits + c.lvip_misses;
-                    if resolved > 0 {
-                        let rate = c.lvip_hits as f64 / resolved as f64;
-                        if !b.brackets(rate) {
-                            violations.push(format!(
-                                "pc {pc}: measured LVIP hit rate {rate:.4} outside static \
-                                 bracket [{:.4}, {:.4}]",
-                                b.hit_lower, b.hit_upper
-                            ));
-                        }
-                    }
-                }
-            }
-        }
+        violations.extend(lvip_violations(pc, c, &lvip_pred, "static"));
     }
 
     // Dynamic side 2: functional round-robin interleaving.
     let (obs, touches, functional_steps) = functional_run(
-        &program,
+        program,
         sharing,
         threads,
-        initial_memories,
+        case.instance.memories.clone(),
         &mut violations,
     );
 
@@ -380,13 +235,10 @@ fn validate_case(app: &App, threads: usize, scale: u64) -> MemRow {
         }
     }
 
-    MemRow {
-        app: app.name.to_string(),
+    Row {
+        app: case.app.name.to_string(),
         threads,
-        sharing: match sharing {
-            MemSharing::Shared => "mt".into(),
-            MemSharing::PerThread => "me".into(),
-        },
+        sharing: sharing_label(sharing),
         accesses: mem.accesses().len(),
         invariant,
         tid_private,
@@ -457,4 +309,82 @@ fn functional_run(
         }
     }
     (obs, touches, steps)
+}
+
+/// Print the table and hand the rows to the epilogue.
+pub(super) fn finish(rows: impl Iterator<Item = Row>, scale: u64) -> Verdict {
+    let rows: Vec<Row> = rows.collect();
+    println!("## mmtmem — static memory classification vs. dynamic addresses (scale {scale})\n");
+    println!(
+        "| app | t | mem | classes (inv/priv/shared) | races (ww/total) | lvip pred | \
+         merged/diverged | lvip l/h/m | dyn pairs | soundness |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|---|");
+    for r in &rows {
+        println!(
+            "| {} | {} | {} | {}/{}/{} | {}/{} | {} | {}/{} | {}/{}/{} | {} | {} |",
+            r.app,
+            r.threads,
+            r.sharing,
+            r.invariant,
+            r.tid_private,
+            r.shared,
+            r.static_race_errors,
+            r.static_races,
+            r.lvip_predictable,
+            r.mem_merged,
+            r.mem_addr_diverged,
+            r.lvip_lookups,
+            r.lvip_hits,
+            r.lvip_misses,
+            r.dynamic_conflict_pairs,
+            status_cell(&r.soundness_violations),
+        );
+    }
+    println!();
+    Verdict {
+        violations: rows
+            .iter()
+            .flat_map(|r| violations_of(&r.app, r.threads, &r.soundness_violations))
+            .collect(),
+        sim_cycles: rows.iter().map(|r| r.sim_cycles).sum(),
+        report: Box::new(Report { scale, rows }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmt_workloads::app_by_name;
+
+    #[test]
+    fn divergent_addresses_at_an_invariant_pc_are_a_violation() {
+        let case = Case::new(&app_by_name("ammp").unwrap(), 2, crate::SMOKE_SCALE);
+        let mut golden = case.golden(true, false).unwrap();
+        let stack = Stack::new(&case.instance.program);
+        assert_eq!(
+            check(&case, &golden, &stack).soundness_violations,
+            Vec::<String>::new()
+        );
+
+        let mem = MemDepAnalysis::from_stack(&stack, case.instance.sharing);
+        let pc = mem
+            .accesses()
+            .iter()
+            .find(|a| a.class == AccessClass::Invariant)
+            .expect("ammp has an invariant access")
+            .pc;
+        let c = &mut golden.result.stats.pc_profile[pc as usize];
+        c.mem_merged += 1;
+        c.mem_addr_diverged += 1;
+        let row = check(&case, &golden, &stack);
+        assert!(
+            row.soundness_violations
+                .iter()
+                .any(|v| v.starts_with(&format!("pc {pc} statically invariant"))
+                    && v.ends_with("had divergent addresses")),
+            "{:?}",
+            row.soundness_violations
+        );
+    }
 }

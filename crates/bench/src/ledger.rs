@@ -21,7 +21,8 @@ pub const LEDGER_PATH: &str = "results/LEDGER.jsonl";
 /// One ledger line: the who/what/how-fast/did-it-pass of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerRecord {
-    /// The bin that ran (`mmtpredict`, `mmtfigs`, …).
+    /// What ran: a bin (`mmtfigs`) or an `mmtgate` check under the
+    /// name it had as a bin of its own (`mmtpredict`, …).
     pub tool: String,
     /// Short git revision of the working tree, or `unknown`.
     pub git_rev: String,

@@ -12,9 +12,9 @@
 //! | `mmtfigs` | Figures 1, 2, 5(a)–(d), 6, 7(a)–(d), Table 3 and the design-choice ablations (`--figure NAME,…`) |
 //! | `mmtsim` | general-purpose CLI driver (any app/config, JSON output, `--asm` files) |
 //! | `mmtlint` | static linter + merge classification over suite apps (`--format json`) |
-//! | `mmtpredict` | static savings predictor vs. per-PC dynamic profile (differential gate) |
-//! | `mmtmem` | static memory divergence/race analysis + LVIP brackets vs. dynamic addresses (differential gate) |
-//! | `mmtvalue` | thread-parametric value-flow analysis + static RST model vs. per-PC exec-merge profile (differential gate) |
+//! | `mmtgate` | the machine checks (`--check predict,mem,value,ffwd,fault`): static analyses, fast-forward and fault detection vs. one shared MMT-FXR golden per case ([`gate`]) |
+//! | `mmttrace` | pipeline trace of one run: Chrome export, replay check, timeline summary |
+//! | `mmtreport` | run-ledger trend report over `results/LEDGER.jsonl` (`--check` gates regressions) |
 
 #![warn(missing_docs)]
 

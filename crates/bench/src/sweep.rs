@@ -1,6 +1,6 @@
 //! Parallel sweep harness + benchmark telemetry.
 //!
-//! `mmtfigs` and the gate bins sweep independent `(app, threads,
+//! `mmtfigs` and `mmtgate` sweep independent `(app, threads,
 //! SimConfig)` grids; [`run_parallel`] fans those simulations out across
 //! a scoped worker pool (std::thread only — no external dependencies) while
 //! keeping result order deterministic: results come back in item order
@@ -127,7 +127,7 @@ pub struct PointFailure {
 }
 mmt_obs::impl_to_json! { PointFailure { label, kind, message } }
 
-/// Parse `--progress PATH`: when present, a gate streams per-case
+/// Parse `--progress PATH`: when present, `mmtgate` streams per-case
 /// `start`/`finish` records to PATH as JSONL, so a multi-minute run is
 /// observable while it executes (`tail -f`).
 pub fn progress_arg(args: &[String]) -> Option<PathBuf> {
@@ -412,8 +412,8 @@ impl ResumeDir {
 }
 
 /// Serialize any report to `results/BENCH_<name>.json` (the sweep
-/// reports and the gate bins' own report shapes).
-pub fn write_report(name: &str, report: &impl ToJson) -> std::io::Result<PathBuf> {
+/// reports and the `mmtgate` checks' own report shapes).
+pub fn write_report(name: &str, report: &(impl ToJson + ?Sized)) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("BENCH_{name}.json"));

@@ -1,7 +1,8 @@
 //! Usage errors are typed, never panics: `--scale` is an iteration
 //! divisor, so every bin that takes it rejects `--scale 0` with the usage
 //! exit code before building a single app instance; a malformed
-//! `--jobs` or an unknown `--figure` is rejected the same way.
+//! `--jobs`, an unknown `--figure` or `--check`, and an unknown flag are
+//! rejected the same way.
 
 use mmt_bench::cli::EXIT_USAGE;
 use std::process::Command;
@@ -13,12 +14,7 @@ fn scale_zero_is_a_usage_error_in_every_bin() {
         env!("CARGO_BIN_EXE_mmtlint"),
         env!("CARGO_BIN_EXE_mmttrace"),
         env!("CARGO_BIN_EXE_mmtfigs"),
-        // The differential gates parse it through `GateSpec`.
-        env!("CARGO_BIN_EXE_mmtpredict"),
-        env!("CARGO_BIN_EXE_mmtmem"),
-        env!("CARGO_BIN_EXE_mmtvalue"),
-        env!("CARGO_BIN_EXE_mmtffwd"),
-        env!("CARGO_BIN_EXE_mmtfault"),
+        env!("CARGO_BIN_EXE_mmtgate"),
     ];
     for bin in bins {
         let out = Command::new(bin)
@@ -54,10 +50,7 @@ fn usage_error(bin: &str, args: &[&str], want: &str) -> String {
 
 #[test]
 fn malformed_jobs_is_a_usage_error() {
-    for bin in [
-        env!("CARGO_BIN_EXE_mmtfigs"),
-        env!("CARGO_BIN_EXE_mmtpredict"),
-    ] {
+    for bin in [env!("CARGO_BIN_EXE_mmtfigs"), env!("CARGO_BIN_EXE_mmtgate")] {
         usage_error(bin, &["--jobs", "x"], "error: --jobs");
     }
 }
@@ -77,4 +70,26 @@ fn mmtfigs_rejects_unknown_figures_and_flags() {
     for secs in ["x", "0", "1e300"] {
         usage_error(figs, &["--deadline-secs", secs], "error: --deadline-secs");
     }
+}
+
+#[test]
+fn mmtgate_rejects_unknown_checks_and_flags() {
+    let gate = env!("CARGO_BIN_EXE_mmtgate");
+    let stderr = usage_error(
+        gate,
+        &["--check", "predict,nope"],
+        "error: unknown check 'nope'",
+    );
+    for name in ["predict", "mem", "value", "ffwd", "fault"] {
+        assert!(stderr.contains(name), "valid names listed: {stderr}");
+    }
+    // Misspelled flags are not ignored: each is a usage error, before
+    // any case runs.
+    usage_error(
+        gate,
+        &["--apps", "fft", "--thread", "2", "--scal", "4"],
+        "error: unknown flag '--thread'",
+    );
+    usage_error(gate, &["--app", "fft"], "error: unknown flag '--app'");
+    usage_error(gate, &["--apps", "nope"], "error: unknown app 'nope'");
 }

@@ -1,7 +1,8 @@
 //! Byte-identity goldens for the JSON the harness emits.
 //!
 //! Each digest is the FNV-1a of one exact JSON document: the `SimStats`
-//! object `mmtsim --format json` prints (and `mmtmem` consumes), a
+//! object `mmtsim --format json` prints (the counters `mmtgate --check
+//! mem` reads), a
 //! sampled estimate, a canonical BENCH report carrying a failed point
 //! with a hostile message, and the whole stdout of `mmtlint --format
 //! json`. Field order is part of the byte format, so a serializer that

@@ -1,8 +1,9 @@
 //! End-to-end tests for the observability layer (DESIGN.md §17): the
-//! committed run ledger is schema-clean and covers every gate bin, a
+//! committed run ledger is schema-clean and covers every gate check, a
 //! synthetic throughput regression makes `mmtreport --check` exit
-//! nonzero, and a gate bin run with `--progress` emits well-formed
-//! per-point JSONL and appends a valid ledger record.
+//! nonzero, and an `mmtgate` run with `--progress` emits well-formed
+//! per-case JSONL, appends a valid ledger record per check and
+//! simulates each case's golden once.
 
 use mmt_bench::ledger::{self, LedgerRecord};
 use mmt_obs::json::{parse, Value};
@@ -25,8 +26,9 @@ fn cps_record(cps: f64) -> LedgerRecord {
 #[test]
 fn committed_ledger_is_schema_clean_and_covers_every_gate_bin() {
     // The repo commits its own run history; every line must validate
-    // against the schema and all five gate bins must have at least
-    // one record (the acceptance criterion for the ledger altitude).
+    // against the schema and all five gate checks must have at least
+    // one record under their tool names (the acceptance criterion for
+    // the ledger altitude).
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/LEDGER.jsonl");
     let records = ledger::read(&path)
         .unwrap_or_else(|e| panic!("committed ledger {} invalid: {e}", path.display()));
@@ -89,19 +91,20 @@ fn mmtreport_check_passes_on_a_clean_ledger_and_fails_on_a_regression() {
 
 #[test]
 fn gate_bin_emits_progress_jsonl_and_a_valid_ledger_record() {
-    // Run the cheapest real gate (mmtpredict on one small app) in a
+    // Run the cheapest real check (predict on one small app) in a
     // scratch working directory so its cwd-relative `results/` lands in
     // the sandbox, not the repo.
     let dir = fresh_dir("gate");
     let progress = dir.join("progress.jsonl");
-    let out = Command::new(env!("CARGO_BIN_EXE_mmtpredict"))
+    let out = Command::new(env!("CARGO_BIN_EXE_mmtgate"))
         .current_dir(&dir)
-        .args(["--app", "fft", "--threads", "2", "--scale", "16"])
+        .args(["--check", "predict", "--apps", "fft", "--threads", "2"])
+        .args(["--scale", "16"])
         .arg("--progress")
         .arg(&progress)
         .output()
-        .expect("mmtpredict runs");
-    assert!(out.status.success(), "mmtpredict failed: {out:?}");
+        .expect("mmtgate runs");
+    assert!(out.status.success(), "mmtgate failed: {out:?}");
 
     // Progress stream: valid JSONL, one start and one finish for the
     // single grid point, monotonically timestamped.
@@ -134,6 +137,31 @@ fn gate_bin_emits_progress_jsonl_and_a_valid_ledger_record() {
     assert_eq!(records[0].threads, "2");
     assert_eq!(records[0].gate, "pass");
     assert!(records[0].sim_cycles_per_sec > 0.0, "{:?}", records[0]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn mmtgate_checks_share_one_golden_per_case() {
+    let dir = fresh_dir("shared-golden");
+    let out = Command::new(env!("CARGO_BIN_EXE_mmtgate"))
+        .current_dir(&dir)
+        .args([
+            "--check",
+            "predict,mem,value,fault",
+            "--apps",
+            "fft",
+            "--threads",
+            "2",
+        ])
+        .output()
+        .expect("mmtgate runs");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "mmtgate failed: {stdout}");
+    assert!(stdout.contains("mmtgate: simulated 1 FXR golden(s) for predict,mem,value,fault"));
+    // Each check keeps its ledger record under its former bin name.
+    let records = ledger::read(&dir.join("results/LEDGER.jsonl")).unwrap();
+    let tools: Vec<&str> = records.iter().map(|r| r.tool.as_str()).collect();
+    assert_eq!(tools, ["mmtpredict", "mmtmem", "mmtvalue", "mmtfault"]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -213,7 +213,7 @@ pub struct SimConfig {
     /// Record per-static-PC fetch-mode occupancy and merged/split/private
     /// dispatch counts in [`crate::SimStats::pc_profile`], for
     /// differential comparison against the static predictor
-    /// (`mmtpredict`). Off by default: costs a program-sized allocation
+    /// (`mmtgate --check predict`). Off by default: costs a program-sized allocation
     /// plus a counter bump per fetched slot and dispatched uop.
     pub record_pc_profile: bool,
     /// Cycle-level pipeline tracing (`mmt-obs`): `Some` allocates an

@@ -12,11 +12,11 @@
 //! architectural results.
 //!
 //! Scheduling is round-robin, one block per live thread per turn. For
-//! the race-free SPMD workloads this repo admits (the `mmtmem`/`mmtlint`
-//! gates verify no cross-thread races), the final architectural state is
-//! interleaving-independent, so the fast path's block-granular schedule
-//! and the detailed model's cycle-granular one converge to the same
-//! digest — the property the `mmtffwd` CI gate checks on every app.
+//! the race-free SPMD workloads this repo admits (`mmtgate --check mem`
+//! and `mmtlint` verify no cross-thread races), the final architectural
+//! state is interleaving-independent, so the fast path's block-granular
+//! schedule and the detailed model's cycle-granular one converge to the
+//! same digest — the property `mmtgate --check ffwd` checks on every app.
 //!
 //! The per-program predecode cost is one backward pass computing
 //! `run_len[pc]` — the inclusive distance from `pc` to its block

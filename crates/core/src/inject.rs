@@ -25,7 +25,7 @@
 //!
 //! Campaigns draw faults from [`CampaignRng`], a seeded SplitMix64
 //! stream, so every run of a campaign is exactly reproducible from its
-//! seed. The engine lives in `mmt-sim` so the `mmtfault` harness and
+//! seed. The engine lives in `mmt-sim` so `mmtgate --check fault` and
 //! unit tests share one fault vocabulary; it deliberately has no
 //! dependencies beyond the crate itself.
 

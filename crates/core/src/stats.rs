@@ -89,7 +89,7 @@ impl IdentityCounts {
 /// `fetch_merge`); execution counters are in dispatched uops (a merged
 /// dispatch adds 1 to `exec_merged` however many threads it covers).
 /// The static predictor compares these against its per-PC merge
-/// classification in `mmtpredict`.
+/// classification in `mmtgate --check predict`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcCounters {
     /// Thread-instruction slots fetched at this PC while merged.
@@ -120,8 +120,8 @@ pub struct PcCounters {
     pub mem_merged: u64,
     /// Of [`PcCounters::mem_merged`], macro-ops whose per-thread
     /// effective addresses were not all equal. A statically
-    /// address-invariant PC must keep this at zero — the `mmtmem`
-    /// differential gate checks exactly that.
+    /// address-invariant PC must keep this at zero — `mmtgate --check
+    /// mem` checks exactly that.
     pub mem_addr_diverged: u64,
 }
 mmt_obs::impl_json! {

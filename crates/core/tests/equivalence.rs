@@ -143,6 +143,17 @@ fn run_with_metrics(
     caches: Caches,
     metrics: bool,
 ) -> SimResult {
+    let (mut cfg, spec) = setup(app_name, threads, level, caches);
+    cfg.record_merge_log = true;
+    cfg.metrics = metrics;
+    Simulator::new(cfg, spec)
+        .expect("valid config and spec")
+        .run()
+        .expect("workload terminates")
+}
+
+/// The configuration and run spec of one golden run, recording nothing.
+fn setup(app_name: &str, threads: usize, level: MmtLevel, caches: Caches) -> (SimConfig, RunSpec) {
     let app = app_by_name(app_name).expect("known app");
     let w = app.instance(threads, SCALE);
     let mut cfg = SimConfig::paper_with(threads, level);
@@ -150,18 +161,13 @@ fn run_with_metrics(
         cfg.hierarchy.l1d.size_bytes = 4 * 1024;
         cfg.hierarchy.l2.size_bytes = 32 * 1024;
     }
-    cfg.record_merge_log = true;
-    cfg.metrics = metrics;
     let spec = RunSpec {
         program: w.program,
         sharing: w.sharing,
         memories: w.memories,
         threads: w.threads,
     };
-    Simulator::new(cfg, spec)
-        .expect("valid config and spec")
-        .run()
-        .expect("workload terminates")
+    (cfg, spec)
 }
 
 /// The golden grid. The first four digests were captured from the
@@ -220,6 +226,33 @@ fn model_digest_is_the_golden_tables_digest() {
         "golden table digest {:#018x}: bump mmt_sim::snapshot::MODEL_DIGEST to it",
         h.0
     );
+}
+
+/// Recording is timing-invisible: each MMT-FXR golden run with the
+/// per-PC profile and the merge log on ends with the same statistics
+/// (bar the profile) and final architectural state as with both off, so
+/// `mmtgate` can share one golden among checks that record differently.
+#[test]
+fn recording_is_timing_invisible() {
+    for &(app, threads, level, caches, _) in GOLDENS.iter().filter(|g| g.2 == MmtLevel::Fxr) {
+        let [off, on] = [false, true].map(|record| {
+            let (mut cfg, spec) = setup(app, threads, level, caches);
+            (cfg.record_pc_profile, cfg.record_merge_log) = (record, record);
+            let mut sim = Simulator::new(cfg, spec).expect("valid config and spec");
+            while !sim.finished() {
+                sim.step_cycle().expect("workload terminates");
+            }
+            let digest = sim.arch_state().digest();
+            let mut stats = sim.finish().stats;
+            assert_eq!(stats.pc_profile.is_empty(), !record, "{app} @ {threads}");
+            stats.pc_profile.clear();
+            (format!("{stats:?}"), digest)
+        });
+        assert_eq!(
+            on, off,
+            "{app} @ {threads} threads: recording moved the run"
+        );
+    }
 }
 
 /// The same workload run twice must produce identical output — guards

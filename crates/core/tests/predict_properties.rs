@@ -1,7 +1,7 @@
 //! Property tests tying the static merge classification to dynamic
 //! pipeline behaviour over random generator programs (the differential
-//! contract `mmtpredict` checks per workload, here over the whole spec
-//! space):
+//! contract `mmtgate --check predict` checks per workload, here over the
+//! whole spec space):
 //!
 //! * a must-split PC never dispatches merged (pipeline theorem — `tid`
 //!   is hard-split at dispatch),

@@ -142,7 +142,7 @@ fn restore_at_cycle_n_is_bit_identical_across_suite() {
 /// model's final architectural digest (registers, PCs, retired counts,
 /// memory images) from the same initial state. One multi-threaded and
 /// one multi-execution app at both thread counts; the full 16-app grid
-/// runs in the `mmtffwd` CI gate at release speed.
+/// runs in `mmtgate --check ffwd` at release speed.
 #[test]
 fn ffwd_matches_detailed_architectural_digest() {
     for name in ["fft", "ammp"] {

@@ -488,9 +488,9 @@ pub fn app_by_name(name: &str) -> Option<App> {
 
 /// Fixed seed for the [`perfsmoke_app`] workload — pinned so its
 /// dynamic instruction stream is bit-identical across machines and
-/// commits (the `mmtffwd` speed-ratio gate times it, and the numbers in
-/// `results/BENCH_ffwd.json` are only comparable when the simulated
-/// work is).
+/// commits (`mmtgate --check ffwd`'s speed-ratio gate times it, and the
+/// numbers in `results/BENCH_ffwd.json` are only comparable when the
+/// simulated work is).
 pub const PERFSMOKE_SEED: u64 = 0x00C0_FFEE;
 
 /// The `perfsmoke` workload: a deliberately long-running multi-threaded
