@@ -19,7 +19,10 @@
 #   - HEAD is slower in at least LOSSES_TO_FAIL of the PAIRS pairs AND
 #     the median per-pair `wall_s` ratio HEAD/base exceeds 1 + the
 #     `wall_s` bound that BENCHMARK.json declares.
-# A per-pair table goes to stdout and, in CI, to the job summary.
+# A per-pair table of every end-to-end metric BENCHMARK.json declares
+# (base and head side by side; only `wall_s` decides) goes to stdout
+# and, in CI, to the job summary, so allocator-sensitive metrics such as
+# `setup_s` and `ffwd_minst_per_s` show their swings too.
 #
 # Usage (from anywhere in a checkout with history):
 #   .github/scripts/bench_pair.sh
@@ -42,6 +45,11 @@ else
 fi
 head="$(git rev-parse HEAD)"
 bound="$(jq -er '.end_to_end[] | select(.name == "wall_s") | .bound' BENCHMARK.json)"
+mapfile -t metrics < <(jq -er '.end_to_end[].name' BENCHMARK.json)
+if [[ "${metrics[0]}" != wall_s ]]; then
+    echo "BENCHMARK.json must list wall_s first" >&2
+    exit 1
+fi
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -62,7 +70,8 @@ echo "base ${base:0:12}, head ${head:0:12}: building mmtbench at both"
 base_bin="$(build base "$base")"
 head_bin="$(build head "$head")"
 
-# Run one side once; prints its wall_s, or fails the check on a bad run.
+# Run one side once; prints its end-to-end metrics, one per line in
+# `metrics` order (wall_s first), or fails the check on a bad run.
 run() {
     local side="$1" bin="$2" seed="$3"
     local log="$work/$side-$seed.log"
@@ -78,30 +87,47 @@ run() {
         echo "FAIL: $side run at seed $seed reported wrong output" >&2
         return 1
     fi
-    jq -er '.metrics.wall_s.value' <<<"$result" | awk '{ printf "%.3f\n", $1 }'
+    local m
+    for m in "${metrics[@]}"; do
+        jq -er --arg m "$m" '.metrics[$m].value' <<<"$result" | awk '{ printf "%.4g\n", $1 }'
+    done
 }
 
-table="| pair | first | base wall_s | head wall_s | head/base |"$'\n'
-table+="|---|---|---|---|---|"$'\n'
+table="| pair | first | wall_s head/base |"
+rule="|---|---|---|"
+for m in "${metrics[@]}"; do
+    table+=" base $m | head $m |"
+    rule+="---|---|"
+done
+table+=$'\n'"$rule"$'\n'
 ratios=()
 losses=0
 for seed in $(seq 1 "$PAIRS"); do
     if ((seed % 2)); then
         first=base
-        b="$(run base "$base_bin" "$seed")"
-        h="$(run head "$head_bin" "$seed")"
+        bs="$(run base "$base_bin" "$seed")"
+        hs="$(run head "$head_bin" "$seed")"
     else
         first=head
-        h="$(run head "$head_bin" "$seed")"
-        b="$(run base "$base_bin" "$seed")"
+        hs="$(run head "$head_bin" "$seed")"
+        bs="$(run base "$base_bin" "$seed")"
     fi
+    mapfile -t bs <<<"$bs"
+    mapfile -t hs <<<"$hs"
+    b="${bs[0]}" h="${hs[0]}"
     ratio="$(awk -v h="$h" -v b="$b" 'BEGIN { printf "%.3f", h / b }')"
     ratios+=("$ratio")
     if awk -v h="$h" -v b="$b" 'BEGIN { exit !(h > b) }'; then
         losses=$((losses + 1))
     fi
-    table+="| $seed | $first | $b | $h | $ratio |"$'\n'
-    echo "pair $seed ($first first): base $b s, head $h s, ratio $ratio"
+    row="| $seed | $first | $ratio |"
+    line="pair $seed ($first first): wall_s ratio $ratio"
+    for i in "${!metrics[@]}"; do
+        row+=" ${bs[i]} | ${hs[i]} |"
+        line+=", ${metrics[i]} ${bs[i]} -> ${hs[i]}"
+    done
+    table+="$row"$'\n'
+    echo "$line"
 done
 
 median="$(printf '%s\n' "${ratios[@]}" | sort -g | awk '

@@ -21,7 +21,7 @@
 //! (its figures are skipped; the failure lands in
 //! `results/BENCH_figs.json`), 2 on a usage error.
 
-use mmt_bench::cli::{fail_usage, scale_arg};
+use mmt_bench::cli::{check_flags, fail_usage, scale_arg};
 use mmt_bench::figs::{figures, regenerate, select, Options};
 use mmt_bench::sweep::{jobs_arg, trace_dir_arg, ResumeDir};
 use mmt_bench::{arg_value, FULL_SCALE};
@@ -38,17 +38,7 @@ const FLAGS: [&str; 6] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    for pair in args[1..].chunks(2) {
-        if !FLAGS.contains(&pair[0].as_str()) {
-            fail_usage(
-                false,
-                format!("unknown flag '{}'; flags: {}", pair[0], FLAGS.join(", ")),
-            );
-        }
-        if pair.len() < 2 {
-            fail_usage(false, format!("{} takes a value", pair[0]));
-        }
-    }
+    check_flags(&args, &FLAGS);
     let figures = match arg_value(&args, "--figure") {
         None => figures(),
         Some(names) => select(&names).unwrap_or_else(|e| fail_usage(false, e)),

@@ -23,7 +23,7 @@
 //! violation, 2 on a usage error.
 
 use mmt_bench::arg_value;
-use mmt_bench::cli::{fail_run, fail_usage, format_json_arg, scale_arg, EXIT_RUN};
+use mmt_bench::cli::{check_flags, fail_run, fail_usage, format_json_arg, scale_arg, EXIT_RUN};
 use mmt_bench::gate::{run, Check, Options, GATE_SCALE};
 use mmt_bench::sweep::{jobs_arg, progress_arg, trace_dir_arg, ProgressSink};
 use mmt_workloads::{all_apps, app_by_name};
@@ -41,17 +41,7 @@ const FLAGS: [&str; 8] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    for pair in args[1..].chunks(2) {
-        if !FLAGS.contains(&pair[0].as_str()) {
-            fail_usage(
-                false,
-                format!("unknown flag '{}'; flags: {}", pair[0], FLAGS.join(", ")),
-            );
-        }
-        if pair.len() < 2 {
-            fail_usage(false, format!("{} takes a value", pair[0]));
-        }
-    }
+    check_flags(&args, &FLAGS);
     let json = format_json_arg(&args).unwrap_or_else(|e| fail_usage(false, e));
     let checks = match arg_value(&args, "--check") {
         None => Check::ALL.to_vec(),

@@ -21,14 +21,14 @@
 //!
 //! Exit status: `0` — no error-severity findings (warnings allowed);
 //! `1` — at least one program has an error-severity finding; `2` —
-//! usage error (unknown app/flag value, unreadable/unparseable `--asm`
-//! file). The 0-vs-1 split is what makes the tool usable as a CI gate
+//! usage error (unknown flag, app or flag value, unreadable/unparseable
+//! `--asm` file). The 0-vs-1 split is what makes the tool usable as a CI gate
 //! over the workload generator, in either output format.
 
 use mmt_analysis::{lint_from_stack, Lint, Oracle, Stack};
 use mmt_bench::arg_value;
-use mmt_bench::cli::scale_arg;
-use mmt_isa::{MemSharing, Program};
+use mmt_bench::cli::{check_flags, fail_usage, scale_arg};
+use mmt_isa::{MemSharing, Program, MAX_THREADS};
 use mmt_workloads::{all_apps, app_by_name, App};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -61,35 +61,36 @@ mmt_obs::impl_to_json! {
     }
 }
 
+const FLAGS: [&str; 6] = [
+    "--app",
+    "--threads",
+    "--scale",
+    "--asm",
+    "--sharing",
+    "--format",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, &FLAGS);
     let format = match arg_value(&args, "--format").as_deref() {
         None | Some("text") => Format::Text,
         Some("json") => Format::Json,
-        Some(other) => {
-            eprintln!("unknown format '{other}' (text|json)");
-            std::process::exit(2);
-        }
+        Some(other) => fail_usage(false, format!("unknown format '{other}' (text|json)")),
     };
+    let json = format == Format::Json;
     let mut programs: Vec<ProgramJson> = Vec::new();
     let mut failed = false;
 
     if let Some(path) = arg_value(&args, "--asm") {
-        let source = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        let program = mmt_isa::parse::parse(&source).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        });
+        let source = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| fail_usage(json, format!("cannot read {path}: {e}")));
+        let program = mmt_isa::parse::parse(&source)
+            .unwrap_or_else(|e| fail_usage(json, format!("{path}: {e}")));
         let sharing = match arg_value(&args, "--sharing").as_deref() {
             None | Some("mt") => MemSharing::Shared,
             Some("me") => MemSharing::PerThread,
-            Some(other) => {
-                eprintln!("unknown sharing '{other}' (mt|me)");
-                std::process::exit(2);
-            }
+            Some(other) => fail_usage(json, format!("unknown sharing '{other}' (mt|me)")),
         };
         let summary = report(&path, &program, sharing, format);
         failed |= summary.errors > 0;
@@ -98,24 +99,30 @@ fn main() {
     }
 
     let app_name = arg_value(&args, "--app").unwrap_or_else(|| "all".into());
-    let threads: usize = arg_value(&args, "--threads")
-        .map(|v| v.parse().expect("--threads takes 1..=4"))
-        .unwrap_or(2);
-    let scale = scale_arg(&args, 16, format == Format::Json);
+    let threads = match arg_value(&args, "--threads") {
+        None => 2,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|t| (1..=MAX_THREADS).contains(t))
+            .unwrap_or_else(|| {
+                fail_usage(
+                    json,
+                    format!("--threads takes a number in 1..={MAX_THREADS}, got '{v}'"),
+                )
+            }),
+    };
+    let scale = scale_arg(&args, 16, json);
 
     let apps: Vec<App> = if app_name == "all" {
         all_apps()
     } else {
         vec![app_by_name(&app_name).unwrap_or_else(|| {
-            eprintln!(
-                "unknown app '{app_name}'; known: {}",
-                all_apps()
-                    .iter()
-                    .map(|a| a.name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            std::process::exit(2);
+            let known: Vec<&str> = all_apps().iter().map(|a| a.name).collect();
+            fail_usage(
+                json,
+                format!("unknown app '{app_name}'; known: {}", known.join(", ")),
+            )
         })]
     };
 

@@ -40,6 +40,23 @@ pub fn scale_arg(args: &[String], default: u64, json: bool) -> u64 {
     }
 }
 
+/// Check that `args` (the program name first) are `flag value` pairs
+/// with every flag in `flags`: anything else is a usage error, so a
+/// misspelled flag is reported instead of silently ignored.
+pub fn check_flags(args: &[String], flags: &[&str]) {
+    for pair in args[1..].chunks(2) {
+        if !flags.contains(&pair[0].as_str()) {
+            fail_usage(
+                false,
+                format!("unknown flag '{}'; flags: {}", pair[0], flags.join(", ")),
+            );
+        }
+        if pair.len() < 2 {
+            fail_usage(false, format!("{} takes a value", pair[0]));
+        }
+    }
+}
+
 /// Report a usage error and exit 2.
 pub fn fail_usage(json: bool, message: impl AsRef<str>) -> ! {
     report_error(json, message.as_ref());

@@ -30,7 +30,7 @@ use mmt_obs::json::FromJson;
 use mmt_profile::{collect_trace, profile_pair, RedundancyProfile, DIVERGENCE_BUCKETS};
 use mmt_sim::config::{FetchPolicy, SyncPolicy};
 use mmt_sim::hw_cost::{total_storage_bits, TABLE3};
-use mmt_sim::snapshot::{config_digest, Fnv, MODEL_DIGEST};
+use mmt_sim::snapshot::{Fnv, MODEL_DIGEST};
 use mmt_sim::{FetchStyle, MmtLevel, SimConfig, SimStats, Simulator};
 use mmt_workloads::{all_apps, App, WorkloadInstance};
 use std::cell::{OnceCell, RefCell};
@@ -58,7 +58,8 @@ struct Workload {
 }
 
 /// Identity of a simulation: `(run-spec digest, effective-config
-/// digest)`. Equal keys simulate bit-identically.
+/// digest)`. Equal keys simulate bit-identically and record the same
+/// things.
 type RunKey = (u64, u64);
 
 /// One simulation a figure asks for.
@@ -74,9 +75,13 @@ struct Run {
 }
 
 impl Run {
-    /// The run's [`RunKey`].
+    /// The run's [`RunKey`]. The config part hashes every field:
+    /// unlike a checkpoint's `config_digest`, it keeps the recording
+    /// flags, because a cached result holds what they recorded.
     fn key(&self) -> RunKey {
-        (self.workload.digest, config_digest(&self.cfg.effective()))
+        let mut config = Fnv::new();
+        config.put_bytes(format!("{:?}", self.cfg.effective()).as_bytes());
+        (self.workload.digest, config.finish())
     }
 
     /// The run's resume-cache entry under timing model `model`: the

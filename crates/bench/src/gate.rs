@@ -25,7 +25,6 @@ use crate::to_run_spec;
 use mmt_analysis::{LvipPrediction, Oracle, Stack};
 use mmt_isa::MemSharing;
 use mmt_obs::json::ToJson;
-use mmt_sim::snapshot::config_digest;
 use mmt_sim::{MmtLevel, PcCounters, RunSpec, SimConfig, SimResult, Simulator};
 use mmt_workloads::{App, WorkloadInstance};
 use std::cell::OnceCell;
@@ -172,8 +171,7 @@ impl Case {
     ///
     /// A simulator error, as text.
     pub fn golden(&self, pc_profile: bool, merge_log: bool) -> Result<Golden, String> {
-        let plain = SimConfig::paper_with(self.threads, MmtLevel::Fxr);
-        let mut cfg = plain.clone();
+        let mut cfg = SimConfig::paper_with(self.threads, MmtLevel::Fxr);
         cfg.record_pc_profile = pc_profile;
         cfg.record_merge_log = merge_log;
         let mut sim =
@@ -181,11 +179,7 @@ impl Case {
         while !sim.finished() {
             sim.step_cycle().map_err(|e| e.to_string())?;
         }
-        let mut state = sim.arch_state();
-        // The checkpoint's provenance names the unrecorded config: the
-        // flags change no state, and the document stays the same
-        // whichever checks share the golden.
-        state.config_digest = config_digest(&plain);
+        let state = sim.arch_state();
         Ok(Golden {
             digest: state.digest(),
             checkpoint: state.to_json(),

@@ -1,8 +1,8 @@
 //! Usage errors are typed, never panics: `--scale` is an iteration
 //! divisor, so every bin that takes it rejects `--scale 0` with the usage
 //! exit code before building a single app instance; a malformed
-//! `--jobs`, an unknown `--figure` or `--check`, and an unknown flag are
-//! rejected the same way.
+//! `--jobs` or `--threads`, an unknown `--figure` or `--check`, and an
+//! unknown flag are rejected the same way.
 
 use mmt_bench::cli::EXIT_USAGE;
 use std::process::Command;
@@ -92,4 +92,22 @@ fn mmtgate_rejects_unknown_checks_and_flags() {
     );
     usage_error(gate, &["--app", "fft"], "error: unknown flag '--app'");
     usage_error(gate, &["--apps", "nope"], "error: unknown app 'nope'");
+}
+
+#[test]
+fn mmtlint_rejects_bad_threads_and_unknown_flags() {
+    let lint = env!("CARGO_BIN_EXE_mmtlint");
+    for threads in ["x", "0", "5"] {
+        usage_error(
+            lint,
+            &["--app", "fft", "--threads", threads],
+            "error: --threads",
+        );
+    }
+    usage_error(
+        lint,
+        &["--app", "fft", "--thread", "2", "--scal", "4"],
+        "error: unknown flag '--thread'",
+    );
+    usage_error(lint, &["--app"], "error: --app takes a value");
 }

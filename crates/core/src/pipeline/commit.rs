@@ -61,11 +61,7 @@ impl Simulator {
             if let Some(rd) = dest {
                 debug_assert!(ts.writers[rd.index()] > 0);
                 ts.writers[rd.index()] -= 1;
-                let result = self.uops[id].infos[t]
-                    .as_ref()
-                    .and_then(|i| i.result)
-                    .expect("dest implies a result");
-                ts.commit_regs[rd.index()] = result;
+                ts.commit_regs[rd.index()] = self.uops[id].lanes[t].value;
                 if self.rat[t][rd.index()] == Some(id) {
                     self.rat[t][rd.index()] = None;
                 }

@@ -56,12 +56,10 @@ impl Simulator {
             let mut verified = PartList::new();
             for part in &outcome.parts {
                 if part.lvip_speculative {
-                    let lead = part.itid.lead();
-                    let lead_val = mo.infos[lead].as_ref().and_then(|i| i.loaded);
-                    let all_equal = part
-                        .itid
-                        .threads()
-                        .all(|t| mo.infos[t].as_ref().and_then(|i| i.loaded) == lead_val);
+                    // Only loads are speculative, and a load's lane value
+                    // is the value it loaded.
+                    let lead_val = mo.lanes[part.itid.lead()].value;
+                    let all_equal = part.itid.threads().all(|t| mo.lanes[t].value == lead_val);
                     if all_equal {
                         self.lvip.record_match(mo.pc);
                         lvip_hits += 1;
@@ -111,12 +109,8 @@ impl Simulator {
                 c.lvip_misses += lvip_misses;
                 if is_mem && mo.itid.is_merged() {
                     c.mem_merged += 1;
-                    let lead_addr = mo.infos[mo.itid.lead()].as_ref().and_then(|i| i.mem_addr);
-                    if mo
-                        .itid
-                        .threads()
-                        .any(|t| mo.infos[t].as_ref().and_then(|i| i.mem_addr) != lead_addr)
-                    {
+                    let lead_addr = mo.lanes[mo.itid.lead()].addr;
+                    if mo.itid.threads().any(|t| mo.lanes[t].addr != lead_addr) {
                         c.mem_addr_diverged += 1;
                     }
                 }
@@ -268,14 +262,14 @@ impl Simulator {
                 } else {
                     0
                 };
-                if part.itid.is_merged() && self.cfg.record_merge_log {
+                if let Some(fetched) = mo.records.as_deref().filter(|_| part.itid.is_merged()) {
                     // Differential-checking mode: hand every merge
                     // decision (with its functional ground truth) to the
                     // offline oracle instead of asserting in-line, so an
                     // injected corruption reaches the checker.
                     let mut records = [None; MAX_THREADS];
                     for t in part.itid.threads() {
-                        records[t] = mo.infos[t].map(mmt_isa::trace::TraceRecord::from);
+                        records[t] = fetched[t];
                     }
                     self.merge_log.push(crate::audit::MergeEvent {
                         pc: mo.pc,
@@ -291,24 +285,17 @@ impl Simulator {
                     // value-identical work).
                     #[cfg(debug_assertions)]
                     {
-                        let lead = part.itid.lead();
-                        let lead_res = mo.infos[lead].as_ref().and_then(|i| i.result);
+                        let lead_res = mo.lanes[part.itid.lead()].value;
                         for t in part.itid.threads() {
                             debug_assert_eq!(
-                                mo.infos[t].as_ref().and_then(|i| i.result),
-                                lead_res,
+                                mo.lanes[t].value, lead_res,
                                 "unsound merge at pc {} ({})",
-                                mo.pc,
-                                mo.inst
+                                mo.pc, mo.inst
                             );
                         }
                     }
                 }
 
-                let mut infos = [None; MAX_THREADS];
-                for t in part.itid.threads() {
-                    infos[t] = mo.infos[t];
-                }
                 self.uops[id] = Uop {
                     seq,
                     live: true,
@@ -316,7 +303,7 @@ impl Simulator {
                     itid: part.itid,
                     inst: mo.inst,
                     class: mo.inst.class(),
-                    infos,
+                    lanes: mo.lanes,
                     deps,
                     detect_mask: mo.detect_mask & part.itid.mask(),
                     ready_at: None,
@@ -347,13 +334,9 @@ impl Simulator {
                     self.threads[t].commit_queue.push_back(id);
                     self.threads[t].inflight += 1;
                     if matches!(mo.inst, Inst::St { .. }) {
-                        let addr = mo.infos[t]
-                            .as_ref()
-                            .and_then(|i| i.mem_addr)
-                            .expect("store has an address");
                         push_counted(
                             &mut self.store_lists[t],
-                            (id, addr),
+                            (id, mo.lanes[t].addr),
                             &mut self.stats.scratch_growth_events,
                         );
                     }

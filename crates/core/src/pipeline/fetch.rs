@@ -2,11 +2,12 @@
 //! MERGE/DETECT/CATCHUP synchronization driven by the Fetch History
 //! Buffers (Section 4.1), control-transfer resolution, and divergence.
 
-use super::{MacroOp, SimError, Simulator, PENDING_UOP};
+use super::{Lane, MacroOp, SimError, Simulator, PENDING_UOP};
 use crate::config::{FetchPolicy, FetchStyle, SyncPolicy};
 use crate::itid::Itid;
 use mmt_frontend::SyncMode;
 use mmt_isa::interp::StepInfo;
+use mmt_isa::trace::TraceRecord;
 use mmt_isa::{Inst, MAX_THREADS};
 use mmt_obs::{FetchKind, ModeTag, ModeTrigger, TraceEvent};
 
@@ -205,11 +206,7 @@ impl Simulator {
                         && self.threads[u].hint_parked_since.is_some()
                         && self.threads[u].machine.pc() != pc
                 });
-                if !skip
-                    && partner_exists
-                    && !partner_waits_elsewhere
-                    && self.cfg.remerge_hints.contains(&pc)
-                {
+                if !skip && partner_exists && !partner_waits_elsewhere && self.is_hint_pc(pc) {
                     for t in members.threads() {
                         self.threads[t].hint_parked_since = Some(self.now);
                     }
@@ -263,6 +260,14 @@ impl Simulator {
         }
     }
 
+    /// Whether `pc` is one of [`SimConfig::remerge_hints`](crate::SimConfig)
+    /// (software-hint policy only; a hint outside the program never
+    /// matches, since fetch there faults).
+    #[inline]
+    fn is_hint_pc(&self, pc: u64) -> bool {
+        self.hint_pcs.get(pc as usize).copied().unwrap_or(false)
+    }
+
     fn thread_fetchable(&self, t: usize) -> bool {
         let ts = &self.threads[t];
         !ts.halted_fetch && ts.blocked_on.is_none() && ts.blocked_until <= self.now
@@ -305,7 +310,7 @@ impl Simulator {
                 && self.cfg.sync_policy == SyncPolicy::SoftwareHints
                 && members.count() < self.threads.len()
                 && self.threads[lead].hint_skip_pc != Some(pc)
-                && self.cfg.remerge_hints.contains(&pc)
+                && self.is_hint_pc(pc)
             {
                 break;
             }
@@ -345,22 +350,31 @@ impl Simulator {
             });
 
             // Functionally execute for every member (the oracle step).
+            // The full records stay here for control resolution; the
+            // macro-op carries only the lanes.
             let mut infos = [None; MAX_THREADS];
+            let mut lanes = [Lane::default(); MAX_THREADS];
             for t in members.threads() {
                 let ts = &mut self.threads[t];
                 let mem = &mut self.memories[ts.mem_idx];
                 let info = ts.machine.step(&self.program, mem)?;
+                lanes[t] = Lane::from_step(&info);
                 infos[t] = Some(info);
             }
             let inst = member_info(&infos, lead, pc, "lead of a fetch group was not stepped")?.inst;
             fetched += 1;
             self.stats.macro_ops_fetched += 1;
+            let records = self
+                .cfg
+                .record_merge_log
+                .then(|| Box::new(infos.map(|info| info.as_ref().map(TraceRecord::from_step))));
 
             self.decode_queue.push_back(MacroOp {
                 pc,
                 inst,
                 itid: members,
-                infos,
+                lanes,
+                records,
                 ready_at: self.now + self.cfg.decode_latency,
                 detect_mask,
                 blocks_mask: 0,

@@ -138,10 +138,7 @@ impl Simulator {
             return Ok(ready_at);
         }
         for t in u.itid.threads() {
-            let addr = u.infos[t]
-                .as_ref()
-                .and_then(|i| i.mem_addr)
-                .expect("load has an address");
+            let addr = u.lanes[t].addr;
             for &(sid, saddr) in &self.store_lists[t] {
                 // In-flight stores are always live, so seq ordering is the
                 // dispatch ordering the recycled slot ids no longer carry.
@@ -164,11 +161,7 @@ impl Simulator {
         match self.sharing {
             MemSharing::Shared => {
                 // One access regardless of merging: memory is shared.
-                let lead = itid.lead();
-                let addr = self.uops[id].infos[lead]
-                    .as_ref()
-                    .and_then(|i| i.mem_addr)
-                    .expect("mem uop has an address");
+                let addr = self.uops[id].lanes[itid.lead()].addr;
                 let out = self.hierarchy.access_data(0, addr, self.now, is_store);
                 done = done.max(out.completes_at);
             }
@@ -176,10 +169,7 @@ impl Simulator {
                 // The LSQ expands merged accesses and performs them
                 // separately (Table 2); completion is the slowest.
                 for t in itid.threads() {
-                    let addr = self.uops[id].infos[t]
-                        .as_ref()
-                        .and_then(|i| i.mem_addr)
-                        .expect("mem uop has an address");
+                    let addr = self.uops[id].lanes[t].addr;
                     let out = self.hierarchy.access_data(t, addr, self.now, is_store);
                     done = done.max(out.completes_at);
                 }

@@ -5,7 +5,10 @@
 //! The simulator is *oracle-functional, cycle-level timing*: every dynamic
 //! instruction is functionally executed (per thread, in program order) at
 //! fetch, producing exact operand/result values, effective addresses and
-//! branch outcomes ([`mmt_isa::interp::StepInfo`]). The timing model then
+//! branch outcomes ([`mmt_isa::interp::StepInfo`]). Fetch resolves control
+//! flow from that record and keeps one 16-byte `Lane` per member thread
+//! — the value written and the memory address, all the later stages read
+//! — which rides with the instruction to commit. The timing model then
 //! determines *when* everything happens: fetch-width and fetch-entity
 //! limits, decode latency, rename width, issue width, functional-unit and
 //! load/store-port contention, cache latencies with MSHR-limited miss
@@ -42,6 +45,7 @@ use crate::stats::SimStats;
 use mmt_frontend::{Btb, FetchSync, Ras, TwoLevelPredictor};
 use mmt_isa::interp::{Machine, Memory, StepInfo};
 use mmt_isa::reg::NUM_REGS;
+use mmt_isa::trace::TraceRecord;
 use mmt_isa::{Inst, MemSharing, OpClass, Program, Reg, MAX_THREADS};
 use mmt_obs::{FaultUnit, Occupancy, TraceEvent, WatchdogKind};
 use std::collections::VecDeque;
@@ -201,12 +205,37 @@ pub struct SimResult {
 
 type UopId = usize;
 
+/// What the stages after fetch read of one member thread's oracle step:
+/// the value written to the destination (for a load, the value loaded)
+/// and the effective word address of a load or store. Each is 0 where
+/// the instruction has none.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Lane {
+    value: u64,
+    addr: u64,
+}
+
+impl Lane {
+    #[inline]
+    fn from_step(info: &StepInfo) -> Lane {
+        Lane {
+            value: info.result.unwrap_or(0),
+            addr: info.mem_addr.unwrap_or(0),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct MacroOp {
     pc: u64,
     inst: Inst,
     itid: Itid,
-    infos: [Option<StepInfo>; MAX_THREADS],
+    /// Indexed by thread; only members' lanes are meaningful.
+    lanes: [Lane; MAX_THREADS],
+    /// Every member's functional record, kept only when
+    /// [`SimConfig::record_merge_log`] is set: the merge log's ground
+    /// truth.
+    records: Option<Box<[Option<TraceRecord>; MAX_THREADS]>>,
     ready_at: u64,
     /// Members fetched while *not* in MERGE mode (register-merge
     /// eligibility, Section 4.2.7).
@@ -234,7 +263,8 @@ struct Uop {
     itid: Itid,
     inst: Inst,
     class: OpClass,
-    infos: [Option<StepInfo>; MAX_THREADS],
+    /// Indexed by thread; only owners' lanes are meaningful.
+    lanes: [Lane; MAX_THREADS],
     /// Producers this uop waits on, as `(slot, seq)` pairs: if the slot's
     /// current seq differs, the producer has retired (hence completed).
     deps: Vec<(UopId, u64)>,
@@ -273,7 +303,7 @@ impl Uop {
             itid: Itid::single(0),
             inst: Inst::Halt,
             class: OpClass::IntAlu,
-            infos: [None; MAX_THREADS],
+            lanes: [Lane::default(); MAX_THREADS],
             deps: Vec::new(),
             ready_at: None,
             blocked_by: None,
@@ -387,6 +417,10 @@ pub struct Simulator {
     quiet_retries: (u64, u64),
 
     // Front end.
+    /// Per-PC membership in `cfg.remerge_hints`, built once under
+    /// [`SyncPolicy::SoftwareHints`](crate::config::SyncPolicy) (empty
+    /// otherwise).
+    hint_pcs: Vec<bool>,
     sync: FetchSync,
     bpred: TwoLevelPredictor,
     btb: Btb,
@@ -507,7 +541,18 @@ impl Simulator {
             ..SimStats::default()
         };
 
+        let mut hint_pcs = Vec::new();
+        if cfg.sync_policy == crate::config::SyncPolicy::SoftwareHints {
+            hint_pcs = vec![false; spec.program.len()];
+            for &pc in &cfg.remerge_hints {
+                if let Some(hint) = hint_pcs.get_mut(pc as usize) {
+                    *hint = true;
+                }
+            }
+        }
+
         Ok(Simulator {
+            hint_pcs,
             sync: FetchSync::new(n, cfg.fhb_entries),
             bpred: TwoLevelPredictor::new(cfg.predictor, n),
             btb: Btb::new(cfg.btb_entries),
@@ -1089,5 +1134,82 @@ impl Simulator {
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.emit(self.now, event);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MmtLevel;
+    use mmt_isa::asm::Builder;
+
+    #[test]
+    fn in_flight_records_stay_small() {
+        let (macro_op, uop) = (std::mem::size_of::<MacroOp>(), std::mem::size_of::<Uop>());
+        assert!(macro_op <= 128, "MacroOp is {macro_op} bytes");
+        assert!(uop <= 256, "Uop is {uop} bytes");
+    }
+
+    /// Every fetched macro-op carries, for each member, the lane (and,
+    /// when the merge log is on, the record) of that member's
+    /// functional step, on a two-thread program mixing ALU ops, loads,
+    /// stores and a branch that diverges the threads.
+    #[test]
+    fn fetched_lanes_match_the_oracle_step() {
+        let mut b = Builder::new();
+        let (top, skip) = (b.label(), b.label());
+        b.tid(Reg::R1);
+        b.addi(Reg::R2, Reg::R0, 6);
+        b.bind(top);
+        b.ld(Reg::R3, Reg::R1, 100);
+        b.alu_add(Reg::R4, Reg::R3, Reg::R2);
+        b.st(Reg::R4, Reg::R1, 200);
+        b.beq(Reg::R1, Reg::R0, skip);
+        b.alu_xor(Reg::R5, Reg::R5, Reg::R4);
+        b.bind(skip);
+        b.addi(Reg::R2, Reg::R2, -1);
+        b.bne(Reg::R2, Reg::R0, top);
+        b.halt();
+        let program = b.build().unwrap();
+        let mut memory = Memory::new(0);
+        memory.store(100, 7).unwrap();
+        memory.store(101, 9).unwrap();
+
+        // The reference steps each thread in fetch order over its own
+        // copy of the shared memory (the threads touch disjoint words).
+        let mut ref_mem = memory.clone();
+        let mut refs: Vec<Machine> = (0..2).map(Machine::new).collect();
+        let mut cfg = SimConfig::paper_with(2, MmtLevel::Fxr);
+        cfg.record_merge_log = true;
+        let spec = RunSpec {
+            program: program.clone(),
+            sharing: MemSharing::Shared,
+            memories: vec![memory],
+            threads: 2,
+        };
+        let mut sim = Simulator::new(cfg, spec).unwrap();
+        let (mut seen, mut loads, mut stores) = (0, 0, 0);
+        while !sim.finished() {
+            sim.step_cycle().unwrap();
+            let fetched = sim.stats.macro_ops_fetched - seen;
+            seen = sim.stats.macro_ops_fetched;
+            let queue = &sim.decode_queue;
+            for mo in queue.range(queue.len() - fetched as usize..) {
+                let records = mo.records.as_deref().expect("merge log is on");
+                for t in mo.itid.threads() {
+                    let info = refs[t].step(&program, &mut ref_mem).unwrap();
+                    assert_eq!(mo.pc, info.pc);
+                    assert_eq!(mo.lanes[t].value, info.result.unwrap_or(0), "pc {}", mo.pc);
+                    assert_eq!(mo.lanes[t].addr, info.mem_addr.unwrap_or(0), "pc {}", mo.pc);
+                    assert_eq!(records[t], Some(TraceRecord::from_step(&info)));
+                    loads += usize::from(info.loaded.is_some());
+                    stores += usize::from(info.stored.is_some());
+                }
+            }
+        }
+        assert!(refs.iter().all(Machine::halted));
+        assert_eq!((loads, stores), (12, 12));
+        let (_, _, _, divergences) = sim.sync.stats();
+        assert!(divergences > 0, "the tid branch must diverge the threads");
     }
 }

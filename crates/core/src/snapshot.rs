@@ -122,12 +122,16 @@ impl From<MemArch> for Memory {
 }
 
 impl MemArch {
-    /// Capture a functional memory, copying its image.
+    /// Capture a functional memory, copying its image into an allocation
+    /// of the same capacity, so a run continuing on the copy does not
+    /// reallocate where the original would not have.
     pub fn from_memory(m: &Memory) -> MemArch {
+        let mut words = Vec::with_capacity(m.capacity());
+        words.extend_from_slice(m.words());
         MemArch {
             id: m.id(),
             limit: m.limit(),
-            words: m.words().to_vec(),
+            words,
         }
     }
 
@@ -170,7 +174,7 @@ impl MemArch {
 pub struct ArchState {
     /// Detailed-model cycle at capture (informational).
     pub cycle: u64,
-    /// FNV digest of the capturing configuration's `Debug` rendering.
+    /// [`config_digest`] of the capturing configuration.
     pub config_digest: u64,
     /// Thread-to-memory relationship of the workload.
     pub sharing: MemSharing,
@@ -204,7 +208,18 @@ pub const MAX_LVIP_ENTRIES: usize = 1 << 20;
 pub const MAX_IMAGE_WORDS: u64 = mmt_isa::interp::DEFAULT_MEM_LIMIT;
 
 /// Digest a configuration for checkpoint provenance checks.
+///
+/// The observation-only fields (`record_pc_profile`, `record_merge_log`,
+/// `trace`, `metrics`) change no simulated state, so they are digested
+/// at their defaults: recording a run does not change its provenance.
 pub fn config_digest(cfg: &SimConfig) -> u64 {
+    let cfg = SimConfig {
+        record_pc_profile: false,
+        record_merge_log: false,
+        trace: None,
+        metrics: false,
+        ..cfg.clone()
+    };
     let mut h = Fnv::new();
     h.put_bytes(format!("{cfg:?}").as_bytes());
     h.finish()
@@ -698,6 +713,27 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         a.memories[0].words[400] = 1;
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn config_digest_ignores_observation_only_fields() {
+        let plain = SimConfig::paper();
+        let base = config_digest(&plain);
+        type Toggle = (&'static str, fn(&mut SimConfig));
+        let toggles: [Toggle; 4] = [
+            ("record_pc_profile", |c| c.record_pc_profile = true),
+            ("record_merge_log", |c| c.record_merge_log = true),
+            ("trace", |c| c.trace = Some(mmt_obs::TraceConfig::default())),
+            ("metrics", |c| c.metrics = true),
+        ];
+        for (name, toggle) in toggles {
+            let mut cfg = plain.clone();
+            toggle(&mut cfg);
+            assert_eq!(config_digest(&cfg), base, "{name} moved the digest");
+        }
+        let mut timing = plain;
+        timing.rob_size += 1;
+        assert_ne!(config_digest(&timing), base, "a timing field must move it");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!    runner's by-value handoff moves memory images instead of copying
 //!    them and resumes bit-identically to the borrowed one.
 
+use mmt_isa::interp::Memory;
 use mmt_isa::reg::NUM_REGS;
 use mmt_isa::MemSharing;
 use mmt_sim::snapshot::{ArchState, Fnv, MemArch};
@@ -488,4 +489,27 @@ fn arch_state_carries_warm_predictor_state() {
     let resumed =
         Simulator::from_arch(cfg_for(threads), spec.program, state).expect("resume accepted");
     assert_eq!(resumed.arch_state().rst.unwrap(), rst);
+}
+
+/// Workload images are allocated once, at their layout extent, and
+/// `initial_arch_state` keeps that capacity: fast-forwarding every suite
+/// app to halt stores only below it, so no image reallocates mid-run.
+#[test]
+fn ffwd_to_halt_stays_inside_the_reserved_images() {
+    for app in all_apps() {
+        for threads in [2usize, 4] {
+            let spec = to_spec(app.instance(threads, SCALE));
+            let reserved: Vec<usize> = spec.memories.iter().map(Memory::capacity).collect();
+            let mut state = spec.initial_arch_state();
+            Ffwd::new(&spec.program)
+                .run_to_halt(&spec.program, &mut state, u64::MAX)
+                .expect("ffwd terminates");
+            for (image, cap) in state.memories.into_iter().zip(reserved) {
+                let image = Memory::from(image);
+                let label = format!("{} @ {threads} threads, memory {}", app.name, image.id());
+                assert!(image.touched_len() <= image.capacity(), "{label}");
+                assert_eq!(image.capacity(), cap, "{label}: the image reallocated");
+            }
+        }
+    }
 }

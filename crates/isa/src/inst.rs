@@ -325,11 +325,13 @@ impl Sources {
     }
 
     /// Iterate over the present source registers.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
         self.regs.iter().flatten().copied()
     }
 
     /// Number of source registers (0–2).
+    #[inline]
     pub fn len(&self) -> usize {
         self.regs.iter().flatten().count()
     }
@@ -344,6 +346,7 @@ impl Inst {
     /// The destination register written by this instruction, if any.
     /// Writes to `r0` are architecturally discarded but still reported
     /// here; renaming treats them as dropped.
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         match *self {
             Inst::Alu { rd, .. }
@@ -357,6 +360,7 @@ impl Inst {
     }
 
     /// The source registers read by this instruction.
+    #[inline]
     pub fn sources(&self) -> Sources {
         match *self {
             Inst::Alu { rs1, rs2, .. } | Inst::Fpu { rs1, rs2, .. } => Sources::two(rs1, rs2),
@@ -372,6 +376,7 @@ impl Inst {
     }
 
     /// Scheduling class of this instruction.
+    #[inline]
     pub fn class(&self) -> OpClass {
         match *self {
             Inst::Alu { op, .. } | Inst::AluI { op, .. } => match op {
@@ -394,6 +399,7 @@ impl Inst {
     }
 
     /// Whether this is any control-flow instruction.
+    #[inline]
     pub fn is_control(&self) -> bool {
         matches!(self.class(), OpClass::Branch | OpClass::Jump)
     }

@@ -145,6 +145,11 @@ impl Memory {
     pub fn touched_len(&self) -> usize {
         self.words.len()
     }
+
+    /// Words the image can back before a store past its end reallocates.
+    pub fn capacity(&self) -> usize {
+        self.words.capacity()
+    }
 }
 
 /// Out-of-bounds memory access.
@@ -330,6 +335,7 @@ impl Machine {
     /// * [`ExecError::Halted`] if the thread already halted.
     /// * [`ExecError::PcOutOfBounds`] if the PC left the program.
     /// * [`ExecError::MemOutOfBounds`] on an out-of-limit access.
+    #[inline]
     pub fn step(&mut self, prog: &Program, mem: &mut Memory) -> Result<StepInfo, ExecError> {
         if self.halted {
             return Err(ExecError::Halted);
