@@ -22,7 +22,8 @@
 # A per-pair table of every end-to-end metric BENCHMARK.json declares
 # (base and head side by side; only `wall_s` decides) goes to stdout
 # and, in CI, to the job summary, so allocator-sensitive metrics such as
-# `setup_s` and `ffwd_minst_per_s` show their swings too.
+# `setup_s` and `ffwd_minst_per_s` show their swings too. A metric one
+# side does not report (say, one added since base) reads `n/a`.
 #
 # Usage (from anywhere in a checkout with history):
 #   .github/scripts/bench_pair.sh
@@ -45,11 +46,8 @@ else
 fi
 head="$(git rev-parse HEAD)"
 bound="$(jq -er '.end_to_end[] | select(.name == "wall_s") | .bound' BENCHMARK.json)"
-mapfile -t metrics < <(jq -er '.end_to_end[].name' BENCHMARK.json)
-if [[ "${metrics[0]}" != wall_s ]]; then
-    echo "BENCHMARK.json must list wall_s first" >&2
-    exit 1
-fi
+# The other end-to-end metrics, shown beside wall_s but never judged.
+mapfile -t others < <(jq -r '.end_to_end[].name | select(. != "wall_s")' BENCHMARK.json)
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -70,8 +68,9 @@ echo "base ${base:0:12}, head ${head:0:12}: building mmtbench at both"
 base_bin="$(build base "$base")"
 head_bin="$(build head "$head")"
 
-# Run one side once; prints its end-to-end metrics, one per line in
-# `metrics` order (wall_s first), or fails the check on a bad run.
+# Run one side once; prints its wall_s, then each of `others` ("n/a"
+# where this side's mmtbench does not report it), one per line, or
+# fails the check on a bad run.
 run() {
     local side="$1" bin="$2" seed="$3"
     local log="$work/$side-$seed.log"
@@ -87,15 +86,17 @@ run() {
         echo "FAIL: $side run at seed $seed reported wrong output" >&2
         return 1
     fi
+    jq -er '.metrics.wall_s.value' <<<"$result" | awk '{ printf "%.3f\n", $1 }'
     local m
-    for m in "${metrics[@]}"; do
-        jq -er --arg m "$m" '.metrics[$m].value' <<<"$result" | awk '{ printf "%.4g\n", $1 }'
+    for m in "${others[@]}"; do
+        jq -r --arg m "$m" '.metrics[$m].value // "n/a"' <<<"$result" |
+            awk '$1 == "n/a" { print; next } { printf "%.4g\n", $1 }'
     done
 }
 
-table="| pair | first | wall_s head/base |"
-rule="|---|---|---|"
-for m in "${metrics[@]}"; do
+table="| pair | first | base wall_s | head wall_s | head/base |"
+rule="|---|---|---|---|---|"
+for m in "${others[@]}"; do
     table+=" base $m | head $m |"
     rule+="---|---|"
 done
@@ -120,11 +121,11 @@ for seed in $(seq 1 "$PAIRS"); do
     if awk -v h="$h" -v b="$b" 'BEGIN { exit !(h > b) }'; then
         losses=$((losses + 1))
     fi
-    row="| $seed | $first | $ratio |"
-    line="pair $seed ($first first): wall_s ratio $ratio"
-    for i in "${!metrics[@]}"; do
-        row+=" ${bs[i]} | ${hs[i]} |"
-        line+=", ${metrics[i]} ${bs[i]} -> ${hs[i]}"
+    row="| $seed | $first | $b | $h | $ratio |"
+    line="pair $seed ($first first): base $b s, head $h s, ratio $ratio"
+    for i in "${!others[@]}"; do
+        row+=" ${bs[i + 1]} | ${hs[i + 1]} |"
+        line+=", ${others[i]} ${bs[i + 1]} -> ${hs[i + 1]}"
     done
     table+="$row"$'\n'
     echo "$line"

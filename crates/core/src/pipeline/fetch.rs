@@ -206,7 +206,11 @@ impl Simulator {
                         && self.threads[u].hint_parked_since.is_some()
                         && self.threads[u].machine.pc() != pc
                 });
-                if !skip && partner_exists && !partner_waits_elsewhere && self.is_hint_pc(pc) {
+                if !skip
+                    && partner_exists
+                    && !partner_waits_elsewhere
+                    && self.cfg.remerge_hints.contains(&pc)
+                {
                     for t in members.threads() {
                         self.threads[t].hint_parked_since = Some(self.now);
                     }
@@ -260,14 +264,6 @@ impl Simulator {
         }
     }
 
-    /// Whether `pc` is one of [`SimConfig::remerge_hints`](crate::SimConfig)
-    /// (software-hint policy only; a hint outside the program never
-    /// matches, since fetch there faults).
-    #[inline]
-    fn is_hint_pc(&self, pc: u64) -> bool {
-        self.hint_pcs.get(pc as usize).copied().unwrap_or(false)
-    }
-
     fn thread_fetchable(&self, t: usize) -> bool {
         let ts = &self.threads[t];
         !ts.halted_fetch && ts.blocked_on.is_none() && ts.blocked_until <= self.now
@@ -310,7 +306,7 @@ impl Simulator {
                 && self.cfg.sync_policy == SyncPolicy::SoftwareHints
                 && members.count() < self.threads.len()
                 && self.threads[lead].hint_skip_pc != Some(pc)
-                && self.is_hint_pc(pc)
+                && self.cfg.remerge_hints.contains(&pc)
             {
                 break;
             }

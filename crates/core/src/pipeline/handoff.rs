@@ -314,7 +314,6 @@ impl Simulator {
             // stepped cycle.
             quiet_until: 0,
             quiet_retries: (0, 0),
-            hint_pcs: self.hint_pcs.clone(),
             sync: self.sync.clone(),
             bpred: self.bpred.clone(),
             btb: self.btb.clone(),

@@ -218,6 +218,16 @@ struct Lane {
 impl Lane {
     #[inline]
     fn from_step(info: &StepInfo) -> Lane {
+        debug_assert_eq!(
+            info.inst.dest().is_some(),
+            info.result.is_some(),
+            "dest implies a result"
+        );
+        debug_assert_eq!(
+            info.inst.class().is_mem(),
+            info.mem_addr.is_some(),
+            "a load or store has an address"
+        );
         Lane {
             value: info.result.unwrap_or(0),
             addr: info.mem_addr.unwrap_or(0),
@@ -417,10 +427,6 @@ pub struct Simulator {
     quiet_retries: (u64, u64),
 
     // Front end.
-    /// Per-PC membership in `cfg.remerge_hints`, built once under
-    /// [`SyncPolicy::SoftwareHints`](crate::config::SyncPolicy) (empty
-    /// otherwise).
-    hint_pcs: Vec<bool>,
     sync: FetchSync,
     bpred: TwoLevelPredictor,
     btb: Btb,
@@ -541,18 +547,7 @@ impl Simulator {
             ..SimStats::default()
         };
 
-        let mut hint_pcs = Vec::new();
-        if cfg.sync_policy == crate::config::SyncPolicy::SoftwareHints {
-            hint_pcs = vec![false; spec.program.len()];
-            for &pc in &cfg.remerge_hints {
-                if let Some(hint) = hint_pcs.get_mut(pc as usize) {
-                    *hint = true;
-                }
-            }
-        }
-
         Ok(Simulator {
-            hint_pcs,
             sync: FetchSync::new(n, cfg.fhb_entries),
             bpred: TwoLevelPredictor::new(cfg.predictor, n),
             btb: Btb::new(cfg.btb_entries),

@@ -24,6 +24,7 @@ use mmt_isa::reg::NUM_REGS;
 use mmt_isa::MemSharing;
 use mmt_sim::snapshot::{ArchState, Fnv, MemArch};
 use mmt_sim::{Ffwd, MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
+use mmt_workloads::spec::layout;
 use mmt_workloads::{all_apps, app_by_name, WorkloadInstance};
 use proptest::prelude::*;
 
@@ -491,13 +492,15 @@ fn arch_state_carries_warm_predictor_state() {
     assert_eq!(resumed.arch_state().rst.unwrap(), rst);
 }
 
-/// Workload images are allocated once, at their layout extent, and
+/// Workload images are allocated once, past their layout extent, and
 /// `initial_arch_state` keeps that capacity: fast-forwarding every suite
-/// app to halt stores only below it, so no image reallocates mid-run.
+/// app to halt stores only below the extent `layout::image_words`
+/// declares, so no image reallocates mid-run.
 #[test]
 fn ffwd_to_halt_stays_inside_the_reserved_images() {
     for app in all_apps() {
         for threads in [2usize, 4] {
+            let extent = layout::image_words(&app.spec, threads);
             let spec = to_spec(app.instance(threads, SCALE));
             let reserved: Vec<usize> = spec.memories.iter().map(Memory::capacity).collect();
             let mut state = spec.initial_arch_state();
@@ -507,7 +510,10 @@ fn ffwd_to_halt_stays_inside_the_reserved_images() {
             for (image, cap) in state.memories.into_iter().zip(reserved) {
                 let image = Memory::from(image);
                 let label = format!("{} @ {threads} threads, memory {}", app.name, image.id());
-                assert!(image.touched_len() <= image.capacity(), "{label}");
+                assert!(
+                    image.touched_len() <= extent,
+                    "{label}: stored past the layout extent"
+                );
                 assert_eq!(image.capacity(), cap, "{label}: the image reallocated");
             }
         }

@@ -34,30 +34,13 @@ pub fn build_memories(spec: &KernelSpec, threads: usize, identical: bool) -> Vec
     }
 }
 
-/// The words a kernel's memory image reaches over a whole run: the end
-/// of the last output region it stores to, or of the barrier slots when
-/// it has barriers (the highest addresses of the layout).
-fn image_words(spec: &KernelSpec, threads: usize) -> usize {
-    let end = if spec.barrier_every != 0 {
-        layout::BARRIER_BASE + threads as i64
-    } else {
-        let last = match spec.sharing {
-            MemSharing::Shared => threads.saturating_sub(1) as i64,
-            MemSharing::PerThread => 0,
-        };
-        // Stores land at `out + (i & (ws_words - 1)) + off`, `off < 32`.
-        layout::OUT_BASE + last * layout::OUT_STRIDE + spec.ws_words + 32
-    };
-    end as usize
-}
-
-/// An empty memory backed up to [`image_words`], rounded up to a power
+/// An empty memory backed up to [`layout::image_words`], rounded up to a power
 /// of two: the block sizes growth by doubling ended at, which the
 /// allocator handles well. At exact extents the `sampled` benchmark's
 /// peak RSS rose from 37.0 to 43.5 MiB (2-vCPU host); rounded, it reads
 /// 37.3 MiB. Pages past the touched length are never faulted in.
 fn reserved_memory(spec: &KernelSpec, threads: usize, id: usize) -> Memory {
-    let words = Vec::with_capacity(image_words(spec, threads).next_power_of_two());
+    let words = Vec::with_capacity(layout::image_words(spec, threads).next_power_of_two());
     Memory::from_words(id, DEFAULT_MEM_LIMIT, words)
 }
 

@@ -321,7 +321,7 @@ fn emit_body(b: &mut Builder, spec: &KernelSpec, group: usize) {
     for s in 0..spec.stores {
         b.andi(Reg::R27, R_I, spec.ws_words - 1);
         b.alu_add(Reg::R27, R_OUT, Reg::R27);
-        b.st(R_PACC, Reg::R27, (s as i64 + g * 3) % 32);
+        b.st(R_PACC, Reg::R27, (s as i64 + g * 3) % layout::OUT_DISP);
     }
 }
 

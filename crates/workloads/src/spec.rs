@@ -198,6 +198,26 @@ pub mod layout {
     pub const OUT_STRIDE: i64 = 4480;
     /// Base of the barrier rendezvous slots (one word per thread).
     pub const BARRIER_BASE: i64 = 524288;
+    /// Bound on an output store's displacement: a store lands at
+    /// `out + (i & (ws_words - 1)) + d` with `0 <= d < OUT_DISP`.
+    pub const OUT_DISP: i64 = 32;
+
+    /// One past the highest word a kernel stores to over a whole run at
+    /// `threads` threads: the barrier slots' end when it has barriers,
+    /// else the last output region's. Nothing else in the layout lies
+    /// above the output regions, so a memory image never grows past it.
+    pub fn image_words(spec: &super::KernelSpec, threads: usize) -> usize {
+        let end = if spec.barrier_every != 0 {
+            BARRIER_BASE + threads as i64
+        } else {
+            let last = match spec.sharing {
+                super::MemSharing::Shared => threads.saturating_sub(1) as i64,
+                super::MemSharing::PerThread => 0,
+            };
+            OUT_BASE + last * OUT_STRIDE + spec.ws_words - 1 + OUT_DISP
+        };
+        end as usize
+    }
 }
 
 #[cfg(test)]
