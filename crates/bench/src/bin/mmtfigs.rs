@@ -38,7 +38,7 @@ const FLAGS: [&str; 6] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    check_flags(&args, &FLAGS);
+    check_flags(&args, &FLAGS, &[]);
     let figures = match arg_value(&args, "--figure") {
         None => figures(),
         Some(names) => select(&names).unwrap_or_else(|e| fail_usage(false, e)),

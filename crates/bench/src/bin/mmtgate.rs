@@ -41,7 +41,7 @@ const FLAGS: [&str; 8] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    check_flags(&args, &FLAGS);
+    check_flags(&args, &FLAGS, &[]);
     let json = format_json_arg(&args).unwrap_or_else(|e| fail_usage(false, e));
     let checks = match arg_value(&args, "--check") {
         None => Check::ALL.to_vec(),

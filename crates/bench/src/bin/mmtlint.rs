@@ -72,7 +72,7 @@ const FLAGS: [&str; 6] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    check_flags(&args, &FLAGS);
+    check_flags(&args, &FLAGS, &[]);
     let format = match arg_value(&args, "--format").as_deref() {
         None | Some("text") => Format::Text,
         Some("json") => Format::Json,

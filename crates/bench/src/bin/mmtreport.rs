@@ -28,28 +28,14 @@
 //! ledger), 2 usage errors.
 
 use mmt_bench::arg_value;
-use mmt_bench::cli::{fail_run, fail_usage, format_json_arg};
+use mmt_bench::cli::{check_flags, fail_run, fail_usage, format_json_arg};
 use mmt_bench::report::{build, ReportOptions};
 use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, &["--ledger", "--results", "--format"], &["--check"]);
     let json = format_json_arg(&args).unwrap_or_else(|e| fail_usage(false, e));
-    for a in args.iter().skip(1) {
-        if a.starts_with("--")
-            && !matches!(
-                a.as_str(),
-                "--ledger" | "--results" | "--check" | "--format"
-            )
-        {
-            fail_usage(
-                json,
-                format!(
-                    "unknown flag {a}; known: --ledger PATH, --results DIR, --check, --format F"
-                ),
-            );
-        }
-    }
     let check = args.iter().any(|a| a == "--check");
     let mut opts = ReportOptions::default();
     if let Some(p) = arg_value(&args, "--ledger") {

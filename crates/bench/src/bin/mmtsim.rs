@@ -41,7 +41,7 @@
 //! | `--sample-warmup N`   | `500`  | detailed-but-unmeasured instructions per window |
 //! | `--sample-measure N`  | `1500` | measured instructions per window |
 
-use mmt_bench::cli::{fail_run, fail_usage, format_json_arg, scale_arg};
+use mmt_bench::cli::{check_flags, fail_run, fail_usage, format_json_arg, parsed_arg, scale_arg};
 use mmt_bench::sample::{run_sampled, run_sampled_profiled, tier_seconds, SampleConfig};
 use mmt_bench::{arg_value, to_run_spec, FULL_SCALE};
 use mmt_energy::EnergyModel;
@@ -52,8 +52,33 @@ use mmt_sim::snapshot::{self, ArchState};
 use mmt_sim::{FetchStyle, MmtLevel, SimConfig, SimResult, Simulator};
 use mmt_workloads::{all_apps, app_by_name, App, WorkloadInstance};
 
+const FLAGS: [&str; 19] = [
+    "--app",
+    "--level",
+    "--threads",
+    "--scale",
+    "--fhb",
+    "--ports",
+    "--width",
+    "--fetch-style",
+    "--sync",
+    "--format",
+    "--asm",
+    "--sharing",
+    "--metrics",
+    "--checkpoint",
+    "--checkpoint-at",
+    "--resume",
+    "--sample-skip",
+    "--sample-warmup",
+    "--sample-measure",
+];
+
+const SWITCHES: [&str; 3] = ["--json", "--pc-profile", "--sample"];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, &FLAGS, &SWITCHES);
     // `--json` predates `--format` and stays as an alias.
     let json = format_json_arg(&args).unwrap_or_else(|e| fail_usage(false, e));
     if let Some(path) = arg_value(&args, "--asm") {
@@ -62,12 +87,7 @@ fn main() {
     }
     let app_name = arg_value(&args, "--app").unwrap_or_else(|| "swaptions".into());
     let level_name = arg_value(&args, "--level").unwrap_or_else(|| "fxr".into());
-    let threads: usize = arg_value(&args, "--threads")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail_usage(json, "--threads takes 1..=4"))
-        })
-        .unwrap_or(2);
+    let threads: usize = parsed_arg(&args, "--threads", 2, "1..=4", json);
     let scale = scale_arg(&args, FULL_SCALE, json);
 
     let apps: Vec<App> = if app_name == "all" {
@@ -167,23 +187,13 @@ fn write_metrics(path: &str, snap: Option<MetricsSnapshot>, json: bool) {
 }
 
 fn sample_config(args: &[String], json: bool) -> SampleConfig {
-    let mut sample = SampleConfig::default();
-    if let Some(v) = arg_value(args, "--sample-skip") {
-        sample.skip = v
-            .parse()
-            .unwrap_or_else(|_| fail_usage(json, "--sample-skip takes a number"));
+    let d = SampleConfig::default();
+    SampleConfig {
+        skip: parsed_arg(args, "--sample-skip", d.skip, "a number", json),
+        warmup: parsed_arg(args, "--sample-warmup", d.warmup, "a number", json),
+        measure: parsed_arg(args, "--sample-measure", d.measure, "a number", json),
+        ..d
     }
-    if let Some(v) = arg_value(args, "--sample-warmup") {
-        sample.warmup = v
-            .parse()
-            .unwrap_or_else(|_| fail_usage(json, "--sample-warmup takes a number"));
-    }
-    if let Some(v) = arg_value(args, "--sample-measure") {
-        sample.measure = v
-            .parse()
-            .unwrap_or_else(|_| fail_usage(json, "--sample-measure takes a number"));
-    }
-    sample
 }
 
 /// Simulate a hand-written assembly file (empty initial memories).
@@ -195,12 +205,7 @@ fn run_asm(path: &str, args: &[String], json: bool) {
         .unwrap_or_else(|e| fail_usage(json, format!("cannot read {path}: {e}")));
     let program =
         mmt_isa::parse::parse(&source).unwrap_or_else(|e| fail_usage(json, format!("{path}: {e}")));
-    let threads: usize = arg_value(args, "--threads")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail_usage(json, "--threads takes 1..=4"))
-        })
-        .unwrap_or(2);
+    let threads: usize = parsed_arg(args, "--threads", 2, "1..=4", json);
     let sharing = match arg_value(args, "--sharing").as_deref() {
         None | Some("mt") => MemSharing::Shared,
         Some("me") => MemSharing::PerThread,
@@ -261,21 +266,9 @@ fn configure(
         ),
     };
     let mut cfg = SimConfig::paper_with(threads, level);
-    if let Some(v) = arg_value(args, "--fhb") {
-        cfg.fhb_entries = v
-            .parse()
-            .unwrap_or_else(|_| fail_usage(json, "--fhb takes a number"));
-    }
-    if let Some(v) = arg_value(args, "--ports") {
-        cfg.lsq_ports = v
-            .parse()
-            .unwrap_or_else(|_| fail_usage(json, "--ports takes a number"));
-    }
-    if let Some(v) = arg_value(args, "--width") {
-        cfg.fetch_width = v
-            .parse()
-            .unwrap_or_else(|_| fail_usage(json, "--width takes a number"));
-    }
+    cfg.fhb_entries = parsed_arg(args, "--fhb", cfg.fhb_entries, "a number", json);
+    cfg.lsq_ports = parsed_arg(args, "--ports", cfg.lsq_ports, "a number", json);
+    cfg.fetch_width = parsed_arg(args, "--width", cfg.fetch_width, "a number", json);
     match arg_value(args, "--fetch-style").as_deref() {
         None | Some("trace") => {}
         Some("conventional") => cfg.fetch_style = FetchStyle::Conventional,
@@ -325,12 +318,7 @@ fn run_one(
         return (resume_run(cfg, w, &path, json), label);
     }
     if let Some(path) = arg_value(args, "--checkpoint") {
-        let at: u64 = arg_value(args, "--checkpoint-at")
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| fail_usage(json, "--checkpoint-at takes a cycle number"))
-            })
-            .unwrap_or(1000);
+        let at = parsed_arg(args, "--checkpoint-at", 1000, "a cycle number", json);
         return (checkpointing_run(cfg, w, &path, at, json), label);
     }
 

@@ -31,42 +31,49 @@
 //! | `--ring N`     | `4194304` | event-ring capacity, in records |
 //! | `--out DIR`    | `traces`  | output directory |
 
-use mmt_bench::cli::scale_arg;
+use mmt_bench::cli::{check_flags, fail_usage, parsed_arg, scale_arg};
 use mmt_bench::{arg_value, run_app_with};
+use mmt_isa::MAX_THREADS;
 use mmt_obs::validate_chrome_trace;
 use mmt_sim::{replay_mismatches, MmtLevel, TraceConfig};
 use mmt_workloads::app_by_name;
 use std::path::PathBuf;
 
+const FLAGS: [&str; 7] = [
+    "--app",
+    "--threads",
+    "--level",
+    "--scale",
+    "--window",
+    "--ring",
+    "--out",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, &FLAGS, &[]);
     let app_name = arg_value(&args, "--app").unwrap_or_else(|| "equake".into());
-    let threads: usize = arg_value(&args, "--threads")
-        .map(|v| v.parse().expect("--threads takes 1..=4"))
-        .unwrap_or(2);
+    let threads: usize = parsed_arg(&args, "--threads", 2, "a number", false);
+    if !(1..=MAX_THREADS).contains(&threads) {
+        fail_usage(
+            false,
+            format!("--threads takes 1..={MAX_THREADS}, got {threads}"),
+        );
+    }
     let level = match arg_value(&args, "--level").as_deref() {
         Some("base") => MmtLevel::Base,
         Some("f") => MmtLevel::F,
         Some("fx") => MmtLevel::Fx,
         None | Some("fxr") => MmtLevel::Fxr,
-        Some(other) => {
-            eprintln!("unknown level '{other}' (base|f|fx|fxr)");
-            std::process::exit(2);
-        }
+        Some(other) => fail_usage(false, format!("unknown level '{other}' (base|f|fx|fxr)")),
     };
     let scale = scale_arg(&args, 1, false);
-    let window: u64 = arg_value(&args, "--window")
-        .map(|v| v.parse().expect("--window takes a number"))
-        .unwrap_or(1024);
-    let ring: usize = arg_value(&args, "--ring")
-        .map(|v| v.parse().expect("--ring takes a number"))
-        .unwrap_or(1 << 22);
+    let window: u64 = parsed_arg(&args, "--window", 1024, "a number of cycles", false);
+    let ring: usize = parsed_arg(&args, "--ring", 1 << 22, "a number of records", false);
     let out = PathBuf::from(arg_value(&args, "--out").unwrap_or_else(|| "traces".into()));
 
-    let app = app_by_name(&app_name).unwrap_or_else(|| {
-        eprintln!("unknown app '{app_name}'");
-        std::process::exit(2);
-    });
+    let app = app_by_name(&app_name)
+        .unwrap_or_else(|| fail_usage(false, format!("unknown app '{app_name}'")));
 
     let result = run_app_with(&app, threads, level, scale, |cfg| {
         cfg.trace = Some(TraceConfig {

@@ -41,19 +41,43 @@ pub fn scale_arg(args: &[String], default: u64, json: bool) -> u64 {
 }
 
 /// Check that `args` (the program name first) are `flag value` pairs
-/// with every flag in `flags`: anything else is a usage error, so a
-/// misspelled flag is reported instead of silently ignored.
-pub fn check_flags(args: &[String], flags: &[&str]) {
-    for pair in args[1..].chunks(2) {
-        if !flags.contains(&pair[0].as_str()) {
+/// with every flag in `flags`, or value-less `switches`: anything else
+/// is a usage error, so a misspelled flag is reported instead of
+/// silently ignored.
+pub fn check_flags(args: &[String], flags: &[&str], switches: &[&str]) {
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        if switches.contains(&arg.as_str()) {
+            continue;
+        }
+        if !flags.contains(&arg.as_str()) {
+            let known: Vec<&str> = flags.iter().chain(switches).copied().collect();
             fail_usage(
                 false,
-                format!("unknown flag '{}'; flags: {}", pair[0], flags.join(", ")),
+                format!("unknown flag '{arg}'; flags: {}", known.join(", ")),
             );
         }
-        if pair.len() < 2 {
-            fail_usage(false, format!("{} takes a value", pair[0]));
+        if rest.next().is_none() {
+            fail_usage(false, format!("{arg} takes a value"));
         }
+    }
+}
+
+/// Parse the value of `flag` with [`str::parse`], falling back to
+/// `default` when the flag is absent; a value that does not parse is a
+/// usage error naming the flag and `what` it takes.
+pub fn parsed_arg<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    default: T,
+    what: &str,
+    json: bool,
+) -> T {
+    match crate::arg_value(args, flag) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| fail_usage(json, format!("{flag} takes {what}, got '{v}'"))),
     }
 }
 

@@ -111,3 +111,36 @@ fn mmtlint_rejects_bad_threads_and_unknown_flags() {
     );
     usage_error(lint, &["--app"], "error: --app takes a value");
 }
+
+/// Every bin checks its flags through `cli::check_flags`: value-less
+/// switches pass, a misspelled flag or a malformed number exits 2 with
+/// an `error:` line instead of running at a default or panicking.
+#[test]
+fn every_bin_rejects_unknown_flags_and_malformed_numbers() {
+    let sim = env!("CARGO_BIN_EXE_mmtsim");
+    usage_error(sim, &["--thread", "4"], "error: unknown flag '--thread'");
+    usage_error(sim, &["--json", "--thread", "4"], "error: unknown flag");
+    usage_error(sim, &["--fhb", "x"], "error: --fhb");
+    usage_error(
+        sim,
+        &["--sample", "--sample-skip", "x"],
+        "error: --sample-skip",
+    );
+
+    let trace = env!("CARGO_BIN_EXE_mmttrace");
+    for flag in ["--threads", "--window", "--ring"] {
+        usage_error(trace, &[flag, "x"], &format!("error: {flag}"));
+    }
+    usage_error(trace, &["--threads", "5"], "error: --threads");
+    usage_error(trace, &["--thread", "2"], "error: unknown flag '--thread'");
+    usage_error(trace, &["--level", "nope"], "error: unknown level 'nope'");
+    usage_error(trace, &["--app", "nope"], "error: unknown app 'nope'");
+
+    let report = env!("CARGO_BIN_EXE_mmtreport");
+    usage_error(
+        report,
+        &["--check", "--bogus"],
+        "error: unknown flag '--bogus'",
+    );
+    usage_error(report, &["--ledger"], "error: --ledger takes a value");
+}

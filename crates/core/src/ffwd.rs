@@ -6,10 +6,11 @@
 //! the program into straight-line runs ("basic blocks" ending at the
 //! next control-flow instruction or `halt`) and dispatches a whole run
 //! per thread turn, touching nothing but the architectural state in an
-//! [`ArchState`]. No ROB, no rename, no issue queue, no cache timing —
-//! just the ISA semantics of [`mmt_isa::interp::Machine::step`],
-//! replicated exactly so the two modes produce bit-identical
-//! architectural results.
+//! [`ArchState`]. No ROB, no rename, no issue queue, no cache timing:
+//! each instruction is one [`Machine::step`] on the state's own
+//! machines and memories — the interpreter the detailed model runs at
+//! fetch — so the two modes share one ISA semantics and produce
+//! bit-identical architectural results.
 //!
 //! Scheduling is round-robin, one block per live thread per turn. For
 //! the race-free SPMD workloads this repo admits (`mmtgate --check mem`
@@ -20,11 +21,14 @@
 //!
 //! The per-program predecode cost is one backward pass computing
 //! `run_len[pc]` — the inclusive distance from `pc` to its block
-//! terminator — after which dispatch never re-classifies instructions.
+//! terminator — which fixes the block schedule and the instruction-line
+//! warming of each turn.
+//!
+//! [`Machine::step`]: mmt_isa::interp::Machine::step
 
 use crate::snapshot::ArchState;
 use mmt_isa::interp::ExecError;
-use mmt_isa::{Inst, MemSharing, Program, Reg};
+use mmt_isa::{Inst, Program};
 use mmt_mem::MemoryHierarchy;
 
 /// A predecoded program ready for block-at-a-time dispatch.
@@ -42,7 +46,7 @@ use mmt_mem::MemoryHierarchy;
 /// let mut state = ArchState::initial(1, MemSharing::Shared, &[0], 1 << 20);
 /// let executed = ffwd.run_to_halt(&prog, &mut state, 1_000)?;
 /// assert_eq!(executed, 2);
-/// assert_eq!(state.threads[0].regs[1], 7);
+/// assert_eq!(state.threads[0].reg(Reg::R1), 7);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -81,12 +85,11 @@ impl Ffwd {
     ///
     /// # Errors
     ///
-    /// The same faults [`Machine::step`] raises, at the same
-    /// architectural point: a PC outside the program text or an
-    /// out-of-limit memory access. `state` is left at the fault
-    /// boundary (every instruction before the faulting one retired).
-    ///
-    /// [`Machine::step`]: mmt_isa::interp::Machine::step
+    /// The faults [`Machine::step`](mmt_isa::interp::Machine::step)
+    /// raises: a PC outside the program text or an out-of-limit memory
+    /// access. The faulting thread is left where `Machine::step` leaves
+    /// it, at the fault boundary: every instruction before the faulting
+    /// one retired, its PC on the faulting instruction.
     pub fn advance(
         &self,
         prog: &Program,
@@ -125,30 +128,14 @@ impl Ffwd {
         mut warm: Option<&mut MemoryHierarchy>,
     ) -> Result<u64, ExecError> {
         let mut executed = 0u64;
-        let nthreads = state.threads.len();
-        let sharing = state.sharing;
         while executed < budget {
             let mut any_live = false;
-            for t in 0..nthreads {
-                if state.threads[t].halted {
+            for t in 0..state.threads.len() {
+                if state.threads[t].halted() {
                     continue;
                 }
                 any_live = true;
-                let mem_idx = state.mem_index(t);
-                // The detailed model's address-space mapping: data in
-                // space 0 when memory is shared, per-tid spaces for
-                // multi-execution processes; instructions in space 0.
-                let data_space = match sharing {
-                    MemSharing::Shared => 0,
-                    MemSharing::PerThread => t,
-                };
-                executed += self.run_block(
-                    prog,
-                    &mut state.threads[t],
-                    &mut state.memories[mem_idx],
-                    data_space,
-                    warm.as_deref_mut(),
-                )?;
+                executed += self.run_block(prog, state, t, warm.as_deref_mut())?;
                 if executed >= budget {
                     break;
                 }
@@ -186,13 +173,12 @@ impl Ffwd {
         let Some((lead_pc, lead_retired)) = state
             .threads
             .iter()
-            .filter(|t| !t.halted)
-            .max_by_key(|t| t.retired)
-            .map(|t| (t.pc, t.retired))
+            .filter(|t| !t.halted())
+            .max_by_key(|t| t.retired())
+            .map(|t| (t.pc(), t.retired()))
         else {
             return Ok(0);
         };
-        let sharing = state.sharing;
         let mut executed = 0u64;
         for t in 0..state.threads.len() {
             let mut extra = 0u64;
@@ -201,22 +187,11 @@ impl Ffwd {
             // the thread a whole loop iteration behind — same PC,
             // different register values — which kills execution merging
             // for the entire resumed window.
-            while !state.threads[t].halted
-                && (state.threads[t].retired < lead_retired || state.threads[t].pc != lead_pc)
+            while !state.threads[t].halted()
+                && (state.threads[t].retired() < lead_retired || state.threads[t].pc() != lead_pc)
                 && extra < ALIGN_CAP
             {
-                let mem_idx = state.mem_index(t);
-                let data_space = match sharing {
-                    MemSharing::Shared => 0,
-                    MemSharing::PerThread => t,
-                };
-                extra += self.run_block(
-                    prog,
-                    &mut state.threads[t],
-                    &mut state.memories[mem_idx],
-                    data_space,
-                    warm.as_deref_mut(),
-                )?;
+                extra += self.run_block(prog, state, t, warm.as_deref_mut())?;
             }
             executed += extra;
         }
@@ -242,173 +217,55 @@ impl Ffwd {
         Ok(executed)
     }
 
-    /// Execute one basic block on one thread: the straight-line body in
-    /// a tight loop, then the terminator. Replicates `Machine::step`
-    /// semantics instruction-for-instruction (r0 hardwired to zero,
-    /// wrapping address arithmetic, `halt` freezes the PC, every
-    /// executed instruction — including `halt` — counts as retired).
+    /// Execute one basic block on thread `t`: `run_len` steps of the
+    /// interpreter, from the block's first instruction through its
+    /// terminator (control flow or `halt`).
     fn run_block(
         &self,
         prog: &Program,
-        t: &mut crate::snapshot::ThreadArch,
-        mem: &mut crate::snapshot::MemArch,
-        data_space: usize,
+        state: &mut ArchState,
+        t: usize,
         mut warm: Option<&mut MemoryHierarchy>,
     ) -> Result<u64, ExecError> {
-        let insts = prog.as_slice();
-        let start = t.pc;
-        if start as usize >= insts.len() {
+        // The thread's memory index is also the detailed model's data
+        // address space: space 0 when memory is shared, per-tid spaces
+        // for multi-execution processes. Instructions live in space 0.
+        let data_space = state.mem_index(t);
+        let (m, mem) = (&mut state.threads[t], &mut state.memories[data_space]);
+        let start = m.pc();
+        let Some(&len) = self.run_len.get(start as usize) else {
             return Err(ExecError::PcOutOfBounds { pc: start });
-        }
-        let len = self.run_len[start as usize] as u64;
-        let body_end = start + len - 1; // terminator (or last straight-line inst)
+        };
 
         if let Some(h) = warm.as_deref_mut() {
             // Warm each instruction line the block covers: instructions
             // live in space 0 at one word per instruction, so a new line
             // starts every `line_bytes / 8` PCs.
             let stride = (h.config().l1i.line_bytes / 8).max(1);
+            let end = start + len as u64;
             let mut pc = start;
-            while pc <= body_end {
+            while pc < end {
                 h.warm_inst(0, pc);
                 pc = (pc / stride + 1) * stride;
             }
         }
 
-        // Straight-line body: no control flow, no halt, PC advances by 1.
-        let mut pc = start;
-        while pc < body_end {
-            self.exec_straight(
-                insts[pc as usize],
-                pc,
-                t,
-                mem,
-                data_space,
-                warm.as_deref_mut(),
-            )?;
-            pc += 1;
-        }
-
-        // Terminator — or a straight-line instruction at the end of the
-        // program text, after which the next dispatch faults.
-        let inst = insts[pc as usize];
-        match inst {
-            Inst::Br {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                t.pc = if cond.eval(rd(t, rs1), rd(t, rs2)) {
-                    target
-                } else {
-                    pc + 1
-                };
-            }
-            Inst::Jmp { target } => t.pc = target,
-            Inst::Jal { rd: link, target } => {
-                wr(t, link, pc + 1);
-                t.pc = target;
-            }
-            Inst::Jr { rs } => t.pc = rd(t, rs),
-            Inst::Halt => {
-                t.halted = true;
-                t.pc = pc; // frozen
-            }
-            other => {
-                self.exec_straight(other, pc, t, mem, data_space, warm)?;
-                t.pc = pc + 1;
+        for _ in 0..len {
+            let info = m.step(prog, mem)?;
+            if let (Some(h), Some(addr)) = (warm.as_deref_mut(), info.mem_addr) {
+                h.warm_data(data_space, addr);
             }
         }
-        t.retired += len;
-        Ok(len)
-    }
-
-    /// One non-control, non-halt instruction at `pc`. The caller
-    /// advances the PC and the retired count.
-    #[inline]
-    fn exec_straight(
-        &self,
-        inst: Inst,
-        pc: u64,
-        t: &mut crate::snapshot::ThreadArch,
-        mem: &mut crate::snapshot::MemArch,
-        data_space: usize,
-        warm: Option<&mut MemoryHierarchy>,
-    ) -> Result<(), ExecError> {
-        match inst {
-            Inst::Alu {
-                op,
-                rd: d,
-                rs1,
-                rs2,
-            } => wr(t, d, op.apply(rd(t, rs1), rd(t, rs2))),
-            Inst::AluI {
-                op,
-                rd: d,
-                rs1,
-                imm,
-            } => wr(t, d, op.apply(rd(t, rs1), imm as u64)),
-            Inst::Fpu {
-                op,
-                rd: d,
-                rs1,
-                rs2,
-            } => wr(t, d, op.apply(rd(t, rs1), rd(t, rs2))),
-            Inst::Ld { rd: d, base, off } => {
-                let addr = rd(t, base).wrapping_add_signed(off);
-                let v = mem
-                    .load(addr)
-                    .ok_or(ExecError::MemOutOfBounds { addr, pc })?;
-                if let Some(h) = warm {
-                    h.warm_data(data_space, addr);
-                }
-                wr(t, d, v);
-            }
-            Inst::St { src, base, off } => {
-                let addr = rd(t, base).wrapping_add_signed(off);
-                if !mem.store(addr, rd(t, src)) {
-                    return Err(ExecError::MemOutOfBounds { addr, pc });
-                }
-                if let Some(h) = warm {
-                    h.warm_data(data_space, addr);
-                }
-            }
-            Inst::Tid { rd: d } => wr(t, d, t.tid as u64),
-            Inst::Nop => {}
-            // Control and halt are terminators; run_len guarantees they
-            // never appear in a straight-line body.
-            _ => unreachable!("control instruction in straight-line body"),
-        }
-        Ok(())
-    }
-}
-
-/// Read a register (`r0` always reads zero).
-#[inline]
-fn rd(t: &crate::snapshot::ThreadArch, r: Reg) -> u64 {
-    if r.is_zero() {
-        0
-    } else {
-        t.regs[r.index()]
-    }
-}
-
-/// Write a register (writes to `r0` are discarded).
-#[inline]
-fn wr(t: &mut crate::snapshot::ThreadArch, r: Reg, v: u64) {
-    if !r.is_zero() {
-        t.regs[r.index()] = v;
+        Ok(len as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::ThreadArch;
     use mmt_isa::asm::Builder;
     use mmt_isa::interp::{Machine, Memory};
-    use mmt_isa::MemSharing;
+    use mmt_isa::{MemSharing, Reg};
 
     /// Sum-loop with a call, stores, and negative offsets: exercises
     /// every terminator kind plus straight-line memory traffic.
@@ -446,13 +303,13 @@ mod tests {
         let mut m = Machine::new(0);
         let mut mem = Memory::with_limit(0, 1 << 20);
 
-        while !state.threads[0].halted {
+        while !state.threads[0].halted() {
             let n = ffwd.advance(&prog, &mut state, 1).unwrap();
             for _ in 0..n {
                 m.step(&prog, &mut mem).unwrap();
             }
-            assert_eq!(state.threads[0], ThreadArch::from_machine(&m));
-            assert_eq!(Memory::from(state.memories[0].clone()), mem);
+            assert_eq!(state.threads[0], m);
+            assert_eq!(state.memories[0], mem);
         }
         assert!(m.halted());
     }
@@ -470,8 +327,8 @@ mod tests {
         let executed = ffwd.run_to_halt(&prog, &mut state, 100).unwrap();
         assert_eq!(executed, 8);
         assert!(state.all_halted());
-        assert_eq!(state.memories[0].load(0), Some(10));
-        assert_eq!(state.memories[1].load(1), Some(11));
+        assert_eq!(state.memories[0].load(0), Ok(10));
+        assert_eq!(state.memories[1].load(1), Ok(11));
         assert_eq!(state.total_retired(), 8);
     }
 
@@ -484,8 +341,8 @@ mod tests {
         let ffwd = Ffwd::new(&prog);
         let mut state = ArchState::initial(1, MemSharing::Shared, &[0], 1 << 20);
         ffwd.run_to_halt(&prog, &mut state, 100).unwrap();
-        assert_eq!(state.threads[0].pc, 1); // frozen at the halt
-        assert_eq!(state.threads[0].retired, 2); // halt itself retires
+        assert_eq!(state.threads[0].pc(), 1); // frozen at the halt
+        assert_eq!(state.threads[0].retired(), 2); // halt itself retires
     }
 
     #[test]
@@ -498,8 +355,8 @@ mod tests {
         let ffwd = Ffwd::new(&prog);
         let mut state = ArchState::initial(1, MemSharing::Shared, &[0], 1 << 20);
         ffwd.run_to_halt(&prog, &mut state, 100).unwrap();
-        assert_eq!(state.threads[0].regs[0], 0);
-        assert_eq!(state.threads[0].regs[1], 0);
+        assert_eq!(state.threads[0].regs()[0], 0);
+        assert_eq!(state.threads[0].reg(Reg::R1), 0);
     }
 
     #[test]
@@ -511,9 +368,12 @@ mod tests {
         // where Machine::step reports it.
         let err = ffwd.run_to_halt(&prog, &mut state, 100).unwrap_err();
         assert_eq!(err, ExecError::PcOutOfBounds { pc: 1 });
-        assert_eq!(state.threads[0].retired, 1);
+        assert_eq!(state.threads[0].retired(), 1);
     }
 
+    /// A fault in the middle of a block leaves the thread and memory
+    /// exactly where the reference interpreter leaves them: the `addi`
+    /// before the faulting `st` retired, the PC on the `st`.
     #[test]
     fn memory_fault_matches_machine() {
         let mut b = Builder::new();
@@ -524,23 +384,21 @@ mod tests {
         let ffwd = Ffwd::new(&prog);
 
         let mut state = ArchState::initial(1, MemSharing::Shared, &[0], 1 << 20);
-        let r = ffwd.run_to_halt(&prog, &mut state, 100);
+        let err = ffwd.run_to_halt(&prog, &mut state, 100).unwrap_err();
         let mut m = Machine::new(0);
         let mut mem = Memory::with_limit(0, 1 << 20);
-        let mut ref_err = None;
-        while !m.halted() {
-            match m.step(&prog, &mut mem) {
-                Ok(_) => {}
-                Err(e) => {
-                    ref_err = Some(e);
-                    break;
-                }
+        m.step(&prog, &mut mem).unwrap();
+        assert_eq!(m.step(&prog, &mut mem), Err(err));
+        assert_eq!(
+            err,
+            ExecError::MemOutOfBounds {
+                addr: (1 << 21) + 3,
+                pc: 1
             }
-        }
-        match ref_err {
-            Some(e) => assert_eq!(r.unwrap_err(), e),
-            None => assert!(r.is_ok()),
-        }
+        );
+        assert_eq!(state.threads[0], m);
+        assert_eq!((m.pc(), m.retired(), m.reg(Reg::R1)), (1, 1, 1 << 21));
+        assert_eq!(state.memories[0], mem);
     }
 
     /// After `advance`, symmetric threads sit at the same block-start
@@ -558,8 +416,8 @@ mod tests {
             let live: Vec<u64> = state
                 .threads
                 .iter()
-                .filter(|t| !t.halted)
-                .map(|t| t.pc)
+                .filter(|t| !t.halted())
+                .map(Machine::pc)
                 .collect();
             assert!(
                 live.windows(2).all(|w| w[0] == w[1]),

@@ -72,7 +72,7 @@ pub use metrics::{SimMetrics, SimPhase};
 pub use mmt_mem::MemoryHierarchy;
 pub use mmt_obs::{MetricsSnapshot, Trace, TraceConfig};
 pub use pipeline::{Checkpoint, RunSpec, SimError, SimResult, Simulator};
-pub use snapshot::{ArchState, MemArch, ThreadArch};
+pub use snapshot::ArchState;
 pub use stats::{
     replay_mismatches, EnergyEvents, FetchModeCounts, IdentityCounts, PcCounters, SimStats,
 };

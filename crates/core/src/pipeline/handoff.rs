@@ -3,7 +3,7 @@
 
 use super::{RunSpec, Scratch, SimError, Simulator};
 use crate::config::SimConfig;
-use crate::snapshot::{self, ArchState, MemArch, ThreadArch};
+use crate::snapshot::{self, ArchState};
 use mmt_isa::interp::Memory;
 use mmt_isa::reg::NUM_REGS;
 use mmt_isa::Program;
@@ -83,7 +83,12 @@ impl Simulator {
     /// This is the mode-handoff payload — serializable via
     /// [`ArchState::to_json`] and executable by [`crate::Ffwd`].
     pub fn arch_state(&self) -> ArchState {
-        let mut state = self.arch_with(self.memories.iter().map(MemArch::from_memory).collect());
+        let mut state = self.arch_with(
+            self.memories
+                .iter()
+                .map(snapshot::copy_keeping_capacity)
+                .collect(),
+        );
         // Copied last, after the thread list: allocating these 64 KiB
         // before it moved glibc's heap trim point, so that the next
         // run's input generation page-faulted afresh (membound
@@ -94,16 +99,12 @@ impl Simulator {
 
     /// [`Simulator::arch_state`] over already-captured memory images,
     /// without the LVIP table: each caller fills `lvip` its own way.
-    fn arch_with(&self, memories: Vec<MemArch>) -> ArchState {
+    fn arch_with(&self, memories: Vec<Memory>) -> ArchState {
         ArchState {
             cycle: self.now,
             config_digest: snapshot::config_digest(&self.cfg),
             sharing: self.sharing,
-            threads: self
-                .threads
-                .iter()
-                .map(|t| ThreadArch::from_machine(&t.machine))
-                .collect(),
+            threads: self.threads.iter().map(|t| t.machine.clone()).collect(),
             memories,
             rst: Some(self.rst.entries_raw()),
             lvip: None,
@@ -118,10 +119,7 @@ impl Simulator {
     /// the way back in; functional warming never reads fill timing, so
     /// one quiesce per detailed entry suffices.
     pub fn into_arch_warmed(mut self) -> (ArchState, mmt_mem::MemoryHierarchy) {
-        let memories = std::mem::take(&mut self.memories)
-            .into_iter()
-            .map(MemArch::from)
-            .collect();
+        let memories = std::mem::take(&mut self.memories);
         let mut state = self.arch_with(memories);
         state.lvip = Some(self.lvip.take_entries());
         (state, self.hierarchy)
@@ -198,29 +196,28 @@ impl Simulator {
             ..
         } = state;
         for (i, t) in threads.iter().enumerate() {
-            if t.tid != i {
+            if t.tid() != i {
                 return Err(SimError::BadSpec(format!(
                     "checkpoint thread {i} carries tid {}",
-                    t.tid
+                    t.tid()
                 )));
             }
         }
         let spec = RunSpec {
             program,
             sharing,
-            memories: memories.into_iter().map(Memory::from).collect(),
+            memories,
             threads: threads.len(),
         };
         let mut sim = Simulator::with_hierarchy(cfg, spec, hierarchy)?;
         let n = sim.threads.len();
 
-        for (ts, ta) in sim.threads.iter_mut().zip(&threads) {
-            ts.machine = ta.to_machine();
-            ts.halted_fetch = ta.halted;
+        for (ts, machine) in sim.threads.iter_mut().zip(threads) {
+            ts.halted_fetch = machine.halted();
             // With an empty pipeline the committed state *is* the
             // architected state.
-            ts.commit_regs = ta.regs;
-            ts.commit_regs[0] = 0;
+            ts.commit_regs = *machine.regs();
+            ts.machine = machine;
         }
 
         // Progress comparisons only make sense from a common epoch:
@@ -262,11 +259,12 @@ impl Simulator {
             None => {
                 // Derive sound sharing from the values: a pair shares a
                 // register exactly when the two copies are equal.
+                let regs = |t: usize| sim.threads[t].machine.regs();
                 let mut raw = [(0u8, 0u8); NUM_REGS];
                 for (r, e) in raw.iter_mut().enumerate() {
                     for t in 0..n {
                         for u in (t + 1)..n {
-                            if threads[t].regs[r] == threads[u].regs[r] {
+                            if regs(t)[r] == regs(u)[r] {
                                 e.0 |= 1 << crate::rst::pair_index(t, u);
                             }
                         }

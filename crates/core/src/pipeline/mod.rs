@@ -40,7 +40,7 @@ use crate::config::SimConfig;
 use crate::itid::Itid;
 use crate::lvip::Lvip;
 use crate::rst::RegSharingTable;
-use crate::snapshot::{ArchState, MemArch, ThreadArch};
+use crate::snapshot::{self, ArchState};
 use crate::stats::SimStats;
 use mmt_frontend::{Btb, FetchSync, Ras, TwoLevelPredictor};
 use mmt_isa::interp::{Machine, Memory, StepInfo};
@@ -85,10 +85,12 @@ impl RunSpec {
             cycle: 0,
             config_digest: 0,
             sharing: self.sharing,
-            threads: (0..self.threads)
-                .map(|t| ThreadArch::from_machine(&Machine::new(t)))
+            threads: (0..self.threads).map(Machine::new).collect(),
+            memories: self
+                .memories
+                .iter()
+                .map(snapshot::copy_keeping_capacity)
                 .collect(),
-            memories: self.memories.iter().map(MemArch::from_memory).collect(),
             rst: None,
             lvip: None,
         }

@@ -59,106 +59,13 @@ impl Default for Fnv {
     }
 }
 
-/// One thread context's architectural state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadArch {
-    /// Hardware thread id.
-    pub tid: usize,
-    /// Architected register file (`regs[0]` is always 0).
-    pub regs: [u64; NUM_REGS],
-    /// Program counter (frozen at the `halt` PC once halted).
-    pub pc: u64,
-    /// Whether the thread has executed `halt`.
-    pub halted: bool,
-    /// Dynamic instructions executed so far.
-    pub retired: u64,
-}
-
-impl ThreadArch {
-    /// Capture a functional machine.
-    pub fn from_machine(m: &Machine) -> ThreadArch {
-        ThreadArch {
-            tid: m.tid(),
-            regs: *m.regs(),
-            pc: m.pc(),
-            halted: m.halted(),
-            retired: m.retired(),
-        }
-    }
-
-    /// Rebuild the equivalent functional machine.
-    pub fn to_machine(&self) -> Machine {
-        Machine::from_parts(self.tid, self.regs, self.pc, self.halted, self.retired)
-    }
-}
-
-/// One data memory's architectural state: a dense image from address 0.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemArch {
-    /// Memory identity (process id for multi-execution workloads).
-    pub id: usize,
-    /// Configured word limit.
-    pub limit: u64,
-    /// Dense image; addresses past the end read as zero.
-    pub words: Vec<u64>,
-}
-
-/// Capture a functional memory by moving its image (no copy).
-impl From<Memory> for MemArch {
-    fn from(m: Memory) -> MemArch {
-        MemArch {
-            id: m.id(),
-            limit: m.limit(),
-            words: m.into_words(),
-        }
-    }
-}
-
-/// Rebuild the equivalent functional memory by moving the image (no copy).
-impl From<MemArch> for Memory {
-    fn from(m: MemArch) -> Memory {
-        Memory::from_words(m.id, m.limit, m.words)
-    }
-}
-
-impl MemArch {
-    /// Capture a functional memory, copying its image into an allocation
-    /// of the same capacity, so a run continuing on the copy does not
-    /// reallocate where the original would not have.
-    pub fn from_memory(m: &Memory) -> MemArch {
-        let mut words = Vec::with_capacity(m.capacity());
-        words.extend_from_slice(m.words());
-        MemArch {
-            id: m.id(),
-            limit: m.limit(),
-            words,
-        }
-    }
-
-    /// Read the word at `addr` (past-the-end reads as zero); `None` when
-    /// `addr` exceeds the configured limit. Mirrors [`Memory::load`].
-    #[inline]
-    pub fn load(&self, addr: u64) -> Option<u64> {
-        if addr >= self.limit {
-            return None;
-        }
-        Some(self.words.get(addr as usize).copied().unwrap_or(0))
-    }
-
-    /// Write the word at `addr`, growing the image as needed; `false`
-    /// when `addr` exceeds the configured limit. Mirrors [`Memory::store`].
-    #[inline]
-    pub fn store(&mut self, addr: u64, value: u64) -> bool {
-        if addr >= self.limit {
-            return false;
-        }
-        let i = addr as usize;
-        if i >= self.words.len() {
-            self.words.resize(i + 1, 0);
-        }
-        self.words[i] = value;
-        true
-    }
+/// Copy a memory into an allocation of the same capacity, so a run
+/// continuing on the copy does not reallocate where the original would
+/// not have (`Memory::clone` allocates to fit the backed words).
+pub(crate) fn copy_keeping_capacity(m: &Memory) -> Memory {
+    let mut words = Vec::with_capacity(m.capacity());
+    words.extend_from_slice(m.words());
+    Memory::from_words(m.id(), m.limit(), words)
 }
 
 /// A complete architectural checkpoint, plus optional warm predictor
@@ -179,9 +86,9 @@ pub struct ArchState {
     /// Thread-to-memory relationship of the workload.
     pub sharing: MemSharing,
     /// Per-thread contexts, indexed by tid.
-    pub threads: Vec<ThreadArch>,
+    pub threads: Vec<Machine>,
     /// Data memories (one shared, or one per thread).
-    pub memories: Vec<MemArch>,
+    pub memories: Vec<Memory>,
     /// Warm RST sharing vectors `(shared_mask, by_merge_mask)` per
     /// architected register, when captured from a detailed run.
     pub rst: Option<[(u8, u8); NUM_REGS]>,
@@ -239,16 +146,10 @@ impl ArchState {
             cycle: 0,
             config_digest: 0,
             sharing,
-            threads: (0..threads)
-                .map(|t| ThreadArch::from_machine(&Machine::new(t)))
-                .collect(),
+            threads: (0..threads).map(Machine::new).collect(),
             memories: memory_ids
                 .iter()
-                .map(|&id| MemArch {
-                    id,
-                    limit: mem_limit,
-                    words: Vec::new(),
-                })
+                .map(|&id| Memory::with_limit(id, mem_limit))
                 .collect(),
             rst: None,
             lvip: None,
@@ -265,12 +166,12 @@ impl ArchState {
 
     /// True when every thread has halted.
     pub fn all_halted(&self) -> bool {
-        self.threads.iter().all(|t| t.halted)
+        self.threads.iter().all(Machine::halted)
     }
 
     /// Total dynamic instructions executed across all threads.
     pub fn total_retired(&self) -> u64 {
-        self.threads.iter().map(|t| t.retired).sum()
+        self.threads.iter().map(Machine::retired).sum()
     }
 
     /// FNV-1a digest of the mode-independent architectural core:
@@ -281,31 +182,7 @@ impl ArchState {
     /// architecturally iff their digests match.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        h.put_u64(self.threads.len() as u64);
-        for t in &self.threads {
-            h.put_u64(t.tid as u64);
-            for &r in &t.regs {
-                h.put_u64(r);
-            }
-            h.put_u64(t.pc);
-            h.put_u64(t.halted as u64);
-            h.put_u64(t.retired);
-        }
-        h.put_u64(self.memories.len() as u64);
-        for m in &self.memories {
-            h.put_u64(m.id as u64);
-            let trimmed = {
-                let mut n = m.words.len();
-                while n > 0 && m.words[n - 1] == 0 {
-                    n -= 1;
-                }
-                &m.words[..n]
-            };
-            h.put_u64(trimmed.len() as u64);
-            for &w in trimmed {
-                h.put_u64(w);
-            }
-        }
+        self.put_core(&mut h, false);
         h.finish()
     }
 
@@ -325,35 +202,7 @@ impl ArchState {
             MemSharing::Shared => 0,
             MemSharing::PerThread => 1,
         });
-        h.put_u64(self.threads.len() as u64);
-        for t in &self.threads {
-            h.put_u64(t.tid as u64);
-            for &r in &t.regs {
-                h.put_u64(r);
-            }
-            h.put_u64(t.pc);
-            h.put_u64(t.halted as u64);
-            h.put_u64(t.retired);
-        }
-        h.put_u64(self.memories.len() as u64);
-        for m in &self.memories {
-            h.put_u64(m.id as u64);
-            h.put_u64(m.limit);
-            // Trailing zeros trimmed, as in `digest`: the sparse JSON
-            // encoding cannot represent them, so a padded image and its
-            // round-tripped twin must hash identically.
-            let trimmed = {
-                let mut n = m.words.len();
-                while n > 0 && m.words[n - 1] == 0 {
-                    n -= 1;
-                }
-                &m.words[..n]
-            };
-            h.put_u64(trimmed.len() as u64);
-            for &w in trimmed {
-                h.put_u64(w);
-            }
-        }
+        self.put_core(&mut h, true);
         match &self.rst {
             None => h.put_u64(0),
             Some(rst) => {
@@ -379,6 +228,38 @@ impl ArchState {
         h.finish()
     }
 
+    /// Absorb the architectural core both digests hash: per-thread
+    /// tid/registers/PC/halt/retired, then each memory's id (and limit,
+    /// when `with_limit`) and its image with trailing zeros trimmed (a
+    /// dense image and a never-touched tail are architecturally the same
+    /// memory, and the sparse JSON encoding cannot represent the
+    /// difference).
+    fn put_core(&self, h: &mut Fnv, with_limit: bool) {
+        h.put_u64(self.threads.len() as u64);
+        for t in &self.threads {
+            h.put_u64(t.tid() as u64);
+            for &r in t.regs() {
+                h.put_u64(r);
+            }
+            h.put_u64(t.pc());
+            h.put_u64(t.halted() as u64);
+            h.put_u64(t.retired());
+        }
+        h.put_u64(self.memories.len() as u64);
+        for m in &self.memories {
+            h.put_u64(m.id() as u64);
+            if with_limit {
+                h.put_u64(m.limit());
+            }
+            let words = m.words();
+            let trimmed = &words[..words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1)];
+            h.put_u64(trimmed.len() as u64);
+            for &w in trimmed {
+                h.put_u64(w);
+            }
+        }
+    }
+
     /// Serialize to the `mmt-archstate-v1` JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -399,9 +280,12 @@ impl ArchState {
         for (i, t) in self.threads.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"tid\": {}, \"pc\": \"{}\", \"halted\": {}, \"retired\": \"{}\", \"regs\": [",
-                t.tid, t.pc, t.halted, t.retired
+                t.tid(),
+                t.pc(),
+                t.halted(),
+                t.retired()
             ));
-            for (j, r) in t.regs.iter().enumerate() {
+            for (j, r) in t.regs().iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
@@ -418,10 +302,11 @@ impl ArchState {
         for (i, m) in self.memories.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"id\": {}, \"limit\": \"{}\", \"words\": [",
-                m.id, m.limit
+                m.id(),
+                m.limit()
             ));
             let mut first = true;
-            for (addr, &w) in m.words.iter().enumerate() {
+            for (addr, &w) in m.words().iter().enumerate() {
                 if w == 0 {
                     continue;
                 }
@@ -527,13 +412,12 @@ impl ArchState {
             for (r, v) in regs.iter_mut().zip(regs_json) {
                 *r = val_u64(v).ok_or_else(|| format!("thread {i}: bad register value"))?;
             }
-            threads.push(ThreadArch {
-                tid,
-                regs,
-                pc,
-                halted,
-                retired,
-            });
+            // `from_parts` zeroes r0, so a flipped r0 would otherwise
+            // load as the intact state and pass the integrity check.
+            if regs[0] != 0 {
+                return Err(format!("thread {i}: r0 holds {}, not 0", regs[0]));
+            }
+            threads.push(Machine::from_parts(tid, regs, pc, halted, retired));
         }
 
         let mut memories = Vec::new();
@@ -566,7 +450,7 @@ impl ArchState {
                 }
                 words[a] = value;
             }
-            memories.push(MemArch { id, limit, words });
+            memories.push(Memory::from_words(id, limit, words));
         }
 
         let rst = match root.get("rst") {
@@ -672,18 +556,19 @@ fn arr<'a>(obj: &'a Value, key: &str) -> Result<&'a [Value], String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_isa::Reg;
 
     fn sample_state() -> ArchState {
         let mut s = ArchState::initial(2, MemSharing::PerThread, &[0, 1], 1 << 20);
         s.cycle = 1234;
         s.config_digest = 0xdead_beef;
-        s.threads[0].regs[1] = u64::MAX;
-        s.threads[0].regs[31] = 0x8000_0000_0000_0001;
-        s.threads[0].pc = 42;
-        s.threads[0].retired = 99;
-        s.threads[1].halted = true;
-        s.memories[0].store(7, u64::MAX - 1);
-        s.memories[1].store(0, 5);
+        let mut regs = [0u64; NUM_REGS];
+        regs[1] = u64::MAX;
+        regs[31] = 0x8000_0000_0000_0001;
+        s.threads[0] = Machine::from_parts(0, regs, 42, false, 99);
+        s.threads[1] = Machine::from_parts(1, [0; NUM_REGS], 0, true, 0);
+        s.memories[0].store(7, u64::MAX - 1).unwrap();
+        s.memories[1].store(0, 5).unwrap();
         s.rst = Some({
             let mut r = [(0u8, 0u8); NUM_REGS];
             r[3] = (0b0011, 0b0010);
@@ -709,9 +594,9 @@ mod tests {
     fn digest_ignores_trailing_zero_words() {
         let mut a = sample_state();
         let b = a.clone();
-        a.memories[0].words.resize(500, 0); // same memory, padded image
+        a.memories[0].store(499, 0).unwrap(); // same memory, padded image
         assert_eq!(a.digest(), b.digest());
-        a.memories[0].words[400] = 1;
+        a.memories[0].store(400, 1).unwrap();
         assert_ne!(a.digest(), b.digest());
     }
 
@@ -745,45 +630,51 @@ mod tests {
         a.rst = None;
         a.lvip = None;
         assert_eq!(a.digest(), b.digest());
-        a.threads[0].regs[2] ^= 1;
+        a.threads[0].set_reg(Reg::R2, 1);
         assert_ne!(a.digest(), b.digest());
     }
 
+    /// A machine rebuilt from its checkpoint document evolves exactly
+    /// like the original: one more step lands both on the same state.
     #[test]
     fn machine_round_trip() {
-        let t = ThreadArch {
-            tid: 3,
-            regs: {
-                let mut r = [0u64; NUM_REGS];
-                r[7] = 0xabcd;
-                r
-            },
-            pc: 17,
-            halted: false,
-            retired: 21,
-        };
-        assert_eq!(ThreadArch::from_machine(&t.to_machine()), t);
+        let mut b = mmt_isa::asm::Builder::new();
+        b.addi(Reg::R7, Reg::R7, 1);
+        b.halt();
+        let prog = b.build().unwrap();
+        let mut s = sample_state();
+        s.threads[0].set_pc(0);
+        let mut back = ArchState::from_json(&s.to_json()).unwrap();
+        for state in [&mut s, &mut back] {
+            state.threads[0]
+                .step(&prog, &mut state.memories[0])
+                .unwrap();
+        }
+        assert_eq!(s.threads[0], back.threads[0]);
+        assert_eq!(back.threads[0].reg(Reg::R7), 1);
     }
 
     #[test]
-    fn mem_arch_mirrors_memory_semantics() {
-        let mut m = MemArch {
-            id: 0,
-            limit: 10,
-            words: Vec::new(),
-        };
-        assert!(m.store(9, 42));
-        assert!(!m.store(10, 1)); // limit enforced
-        assert_eq!(m.load(9), Some(42));
-        assert_eq!(m.load(3), Some(0)); // untouched reads zero
-        assert_eq!(m.load(10), None);
-        let mem = Memory::from(m.clone());
-        assert_eq!(mem.load(9).unwrap(), 42);
-        assert_eq!(MemArch::from_memory(&mem), m);
-        let ptr = mem.words().as_ptr();
-        let back = MemArch::from(mem);
-        assert_eq!(back, m);
-        assert_eq!(back.words.as_ptr(), ptr, "by-value capture moves the image");
+    fn memory_copy_keeps_capacity() {
+        let mut m = Memory::with_limit(3, 10);
+        m.store(1, 42).unwrap();
+        let mut grown = Memory::from_words(3, 10, Vec::with_capacity(8));
+        grown.store(1, 42).unwrap();
+        let copy = copy_keeping_capacity(&grown);
+        assert_eq!(copy, m);
+        assert_eq!(copy.capacity(), grown.capacity());
+        assert!(copy.capacity() >= 8);
+    }
+
+    /// `Machine::from_parts` zeroes r0, so a document claiming a non-zero
+    /// r0 would load as a different state than it describes.
+    #[test]
+    fn nonzero_r0_is_refused() {
+        let json = sample_state().to_json();
+        let regs = "\"regs\": [\"0\"";
+        let at = json.find(regs).unwrap() + regs.len() - 2;
+        let bad = format!("{}1{}", &json[..at], &json[at + 1..]);
+        assert!(ArchState::from_json(&bad).unwrap_err().contains("r0"));
     }
 
     #[test]
@@ -818,12 +709,12 @@ mod tests {
             },
             {
                 let mut a = s.clone();
-                a.threads[1].regs[5] ^= 1;
+                a.threads[1].set_reg(Reg::R5, 1);
                 a
             },
             {
                 let mut a = s.clone();
-                a.memories[0].store(3, 7);
+                a.memories[0].store(3, 7).unwrap();
                 a
             },
             {

@@ -19,10 +19,10 @@
 //!    runner's by-value handoff moves memory images instead of copying
 //!    them and resumes bit-identically to the borrowed one.
 
-use mmt_isa::interp::Memory;
+use mmt_isa::interp::{Machine, Memory};
 use mmt_isa::reg::NUM_REGS;
 use mmt_isa::MemSharing;
-use mmt_sim::snapshot::{ArchState, Fnv, MemArch};
+use mmt_sim::snapshot::{ArchState, Fnv};
 use mmt_sim::{Ffwd, MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
 use mmt_workloads::spec::layout;
 use mmt_workloads::{all_apps, app_by_name, WorkloadInstance};
@@ -262,7 +262,7 @@ fn run_digest(sim: Simulator) -> u64 {
 #[test]
 fn by_value_handoff_moves_memories_and_matches_goldens() {
     let images = |s: &ArchState| -> Vec<*const u64> {
-        s.memories.iter().map(|m| m.words.as_ptr()).collect()
+        s.memories.iter().map(|m| m.words().as_ptr()).collect()
     };
     for &(name, threads, cold_want, warm_want) in HANDOFF_GOLDENS {
         let app = app_by_name(name).expect("known app");
@@ -278,7 +278,7 @@ fn by_value_handoff_moves_memories_and_matches_goldens() {
         assert_eq!(state, borrowed, "{name}: moved state != arch_state()");
 
         assert!(
-            state.memories.iter().all(|m| !m.words.is_empty()),
+            state.memories.iter().all(|m| !m.words().is_empty()),
             "{name}: the image check needs backed memories"
         );
         let moved = images(&state);
@@ -324,28 +324,26 @@ fn arbitrary_state() -> impl Strategy<Value = ArchState> {
             s.cycle = seed;
             s.config_digest = seed.rotate_left(17);
             for (i, t) in s.threads.iter_mut().enumerate() {
+                let mut regs = [0u64; NUM_REGS];
                 for (r, v) in regs_pool.iter().enumerate() {
                     if r + 1 < NUM_REGS {
-                        t.regs[r + 1] = v.wrapping_add(i as u64);
+                        regs[r + 1] = v.wrapping_add(i as u64);
                     }
                 }
-                t.pc = seed % 1000;
-                t.halted = seed & (1 << i) != 0;
-                t.retired = seed.wrapping_mul(i as u64 + 1);
+                let halted = seed & (1 << i) != 0;
+                *t = Machine::from_parts(
+                    i,
+                    regs,
+                    seed % 1000,
+                    halted,
+                    seed.wrapping_mul(i as u64 + 1),
+                );
             }
-            s.memories = (0..nthreads)
-                .map(|id| {
-                    let mut m = MemArch {
-                        id,
-                        limit: 1 << 20,
-                        words: Vec::new(),
-                    };
-                    for (a, &w) in words.iter().enumerate() {
-                        m.store((a as u64 * 37 + id as u64) % (1 << 20), w);
-                    }
-                    m
-                })
-                .collect();
+            for (id, m) in s.memories.iter_mut().enumerate() {
+                for (a, &w) in words.iter().enumerate() {
+                    m.store((a as u64 * 37 + id as u64) % (1 << 20), w).unwrap();
+                }
+            }
             s.rst = Some({
                 let mut r = [(0u8, 0u8); NUM_REGS];
                 for (i, e) in r.iter_mut().enumerate() {
@@ -508,7 +506,6 @@ fn ffwd_to_halt_stays_inside_the_reserved_images() {
                 .run_to_halt(&spec.program, &mut state, u64::MAX)
                 .expect("ffwd terminates");
             for (image, cap) in state.memories.into_iter().zip(reserved) {
-                let image = Memory::from(image);
                 let label = format!("{} @ {threads} threads, memory {}", app.name, image.id());
                 assert!(
                     image.touched_len() <= extent,

@@ -98,12 +98,6 @@ impl Memory {
         &self.words
     }
 
-    /// Give up the backed words without copying them — the by-value
-    /// counterpart of [`Memory::words`] for mode handoffs.
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
-    }
-
     /// Rebuild a memory from a checkpointed image. `words` is the dense
     /// image starting at address 0; addresses past its end read as zero.
     pub fn from_words(id: usize, limit: u64, words: Vec<u64>) -> Memory {
